@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     EmptyJournalError,
     InvalidAggregateError,
+    InvalidNumberError,
     InvalidSizeError,
     InvalidThresholdsError,
     MalformedRowError,

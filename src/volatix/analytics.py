@@ -1,27 +1,22 @@
 """Corpus-level volatility products: rankings, threshold tables, scatter data.
 
-All computation is a pure map over journals (parallelizable via
-``max_workers``) followed by deterministic sorts and exact integer
-accumulation, so identical corpora serialize to identical bytes regardless of
-run or worker count.  Journals that cannot be ranked (single-paper journals,
-journals whose relative volatility is undefined) are surfaced in a sidecar
-exclusion list, never dropped silently.
+All computation is a pure map over journals, run in one thread, followed by
+deterministic sorts and exact integer accumulation, so identical corpora
+serialize to identical bytes on every run.  Journals that cannot be ranked
+(single-paper journals, journals whose relative volatility is undefined) are
+surfaced in a sidecar exclusion list, never dropped silently.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .display import decimal_str, exact_str, percent_str, plain_number_str, sig2_percent_str
 from .errors import InvalidThresholdsError
-from .ingest import Corpus
+from .ingest import Corpus, write_csv, write_json
 from .metrics import VolatilityReport, top_paper_volatility
 
 #: Threshold presets mirroring the customary report cuts.
@@ -83,23 +78,13 @@ def volatility_reports(
     """Top-paper volatility for every journal in a corpus.
 
     Returns reports sorted by journal_id plus the exclusion sidecar
-    (single-paper journals, whose decomposition is undefined).  The per-journal
-    map is pure, so any worker count yields the identical list.
+    (single-paper journals, whose decomposition is undefined).  The work runs
+    in one thread; ``max_workers`` is accepted for compatibility and ignored,
+    because threads only slow this GIL-bound ``Fraction`` arithmetic.
     """
     ordered = [corpus.journals[jid] for jid in sorted(corpus.journals)]
-    rankable = []
-    excluded = []
-    for agg in ordered:
-        if agg.n_2y < 2:
-            excluded.append(Exclusion(agg.journal_id, "singleton_journal"))
-        else:
-            rankable.append(agg)
-    if max_workers > 1 and len(rankable) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(top_paper_volatility, rankable))
-    else:
-        reports = [top_paper_volatility(agg) for agg in rankable]
-    return reports, excluded
+    excluded = [Exclusion(a.journal_id, "singleton_journal") for a in ordered if a.n_2y < 2]
+    return [top_paper_volatility(a) for a in ordered if a.n_2y >= 2], excluded
 
 
 def _key_value(report: VolatilityReport, key: RankKey) -> Optional[Fraction]:
@@ -213,62 +198,31 @@ def report_obj(report: VolatilityReport, *, exact: bool = False) -> dict:
     return obj
 
 
-def _open_out(dest):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8", newline=""), True
-    return dest, False
-
-
 def write_reports_csv(reports, dest, *, exact: bool = False) -> None:
-    out, own = _open_out(dest)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(REPORT_FIELDS)
-        for report in reports:
-            writer.writerow(report_row(report, exact=exact))
-    finally:
-        if own:
-            out.close()
+    write_csv(dest, REPORT_FIELDS, (report_row(r, exact=exact) for r in reports))
 
 
 def write_reports_json(reports, dest, *, exact: bool = False) -> None:
-    out, own = _open_out(dest)
-    try:
-        json.dump([report_obj(r, exact=exact) for r in reports], out, indent=2)
-        out.write("\n")
-    finally:
-        if own:
-            out.close()
+    write_json(dest, [report_obj(r, exact=exact) for r in reports])
 
 
 def write_ranked_csv(table: RankedTable, dest, *, exact: bool = False) -> None:
-    out, own = _open_out(dest)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["rank"] + REPORT_FIELDS)
-        for i, report in enumerate(table.rows, start=1):
-            writer.writerow([i] + report_row(report, exact=exact))
-    finally:
-        if own:
-            out.close()
+    rows = ([i] + report_row(r, exact=exact) for i, r in enumerate(table.rows, start=1))
+    write_csv(dest, ["rank"] + REPORT_FIELDS, rows)
 
 
 def write_ranked_json(table: RankedTable, dest, *, exact: bool = False) -> None:
-    out, own = _open_out(dest)
-    try:
-        payload = {
+    write_json(
+        dest,
+        {
             "key": table.key.value,
             "k": table.k,
             "rows": [report_obj(r, exact=exact) for r in table.rows],
             "excluded": [
                 {"journal_id": e.journal_id, "reason": e.reason} for e in table.excluded
             ],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    finally:
-        if own:
-            out.close()
+        },
+    )
 
 
 def _threshold_label(cut: Fraction, key: RankKey, exact: bool) -> str:
@@ -288,50 +242,28 @@ def threshold_rows(table: ThresholdTable, *, exact: bool = False) -> list[list]:
 
 
 def write_thresholds_csv(table: ThresholdTable, dest, *, exact: bool = False) -> None:
-    out, own = _open_out(dest)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["threshold", "count", "percent"])
-        for row in threshold_rows(table, exact=exact):
-            writer.writerow(row)
-    finally:
-        if own:
-            out.close()
+    write_csv(dest, ["threshold", "count", "percent"], threshold_rows(table, exact=exact))
 
 
 def write_thresholds_json(table: ThresholdTable, dest, *, exact: bool = False) -> None:
-    out, own = _open_out(dest)
-    try:
-        payload = {
+    write_json(
+        dest,
+        {
             "key": table.key.value,
             "journals_ranked": table.journals_ranked,
             "rows": [
                 {"threshold": label, "count": count, "percent": percent}
                 for label, count, percent in threshold_rows(table, exact=exact)
             ],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    finally:
-        if own:
-            out.close()
+        },
+    )
 
 
 def write_scatter_csv(points, dest) -> None:
     """`scatter.csv`: n_2y,delta_f,delta_f_rel with floats for plot tools and
     an empty field where the relative value is undefined."""
-    out, own = _open_out(dest)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n_2y", "delta_f", "delta_f_rel"])
-        for n_2y, delta_f, delta_f_rel in points:
-            writer.writerow(
-                [
-                    n_2y,
-                    repr(float(delta_f)),
-                    "" if delta_f_rel is None else repr(float(delta_f_rel)),
-                ]
-            )
-    finally:
-        if own:
-            out.close()
+    rows = (
+        [n_2y, repr(float(delta_f)), "" if delta_f_rel is None else repr(float(delta_f_rel))]
+        for n_2y, delta_f, delta_f_rel in points
+    )
+    write_csv(dest, ["n_2y", "delta_f", "delta_f_rel"], rows)

@@ -13,9 +13,8 @@ Commands::
 
 All data goes to stdout (or --out); diagnostics, including the cleaning log
 as JSON, go to stderr.  Exit status is 0 unless a fatal error occurred.
-CORPUS may be either CSV schema; the header decides.  VOLATIX_THREADS caps
-the worker count used for report computation (default: available cores; the
-output is identical for any value).
+CORPUS may be either CSV schema; the header decides.  Reports are computed in
+one thread.
 """
 
 from __future__ import annotations
@@ -33,16 +32,6 @@ from .errors import VolatixError
 KEYS = {"abs": analytics.RankKey.ABSOLUTE, "rel": analytics.RankKey.RELATIVE}
 
 
-def _worker_count() -> int:
-    env = os.environ.get("VOLATIX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"volatix: ignoring bad VOLATIX_THREADS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
-
-
 def _parse_cuts(text: str, key: analytics.RankKey) -> list[Fraction]:
     cuts = [parse_rational(part) for part in text.split(",") if part.strip()]
     if key is analytics.RankKey.RELATIVE:
@@ -50,17 +39,9 @@ def _parse_cuts(text: str, key: analytics.RankKey) -> list[Fraction]:
     return cuts
 
 
-def _out_stream(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
-
-
 def _load_reports(path: str):
     corpus, log = ingest.load_corpus(path)
-    reports, excluded = analytics.volatility_reports(
-        corpus, max_workers=_worker_count()
-    )
+    reports, excluded = analytics.volatility_reports(corpus)
     if excluded:
         payload = [{"journal_id": e.journal_id, "reason": e.reason} for e in excluded]
         print(json.dumps({"excluded": payload}), file=sys.stderr)
@@ -75,41 +56,22 @@ def cmd_ingest(args) -> int:
     else:
         corpus, log = ingest.load_corpus(args.input)
     print(log.to_json(), file=sys.stderr)
-    out = _out_stream(args)
-    try:
-        ingest.write_journals_csv(corpus, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    ingest.write_journals_csv(corpus, args.out or sys.stdout)
     return 0
 
 
 def cmd_report(args) -> int:
     _, reports = _load_reports(args.corpus)
-    out = _out_stream(args)
-    try:
-        if args.format == "json":
-            analytics.write_reports_json(reports, out, exact=args.exact)
-        else:
-            analytics.write_reports_csv(reports, out, exact=args.exact)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write = getattr(analytics, f"write_reports_{args.format}")
+    write(reports, args.out or sys.stdout, exact=args.exact)
     return 0
 
 
 def cmd_rank(args) -> int:
     _, reports = _load_reports(args.corpus)
     table = analytics.rank_by_volatility(reports, KEYS[args.key], args.top)
-    out = _out_stream(args)
-    try:
-        if args.format == "json":
-            analytics.write_ranked_json(table, out, exact=args.exact)
-        else:
-            analytics.write_ranked_csv(table, out, exact=args.exact)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write = getattr(analytics, f"write_ranked_{args.format}")
+    write(table, args.out or sys.stdout, exact=args.exact)
     return 0
 
 
@@ -123,15 +85,8 @@ def cmd_thresholds(args) -> int:
         cuts = list(analytics.DEFAULT_RELATIVE_CUTS)
     _, reports = _load_reports(args.corpus)
     table = analytics.threshold_table(reports, key, cuts)
-    out = _out_stream(args)
-    try:
-        if args.format == "json":
-            analytics.write_thresholds_json(table, out, exact=args.exact)
-        else:
-            analytics.write_thresholds_csv(table, out, exact=args.exact)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write = getattr(analytics, f"write_thresholds_{args.format}")
+    write(table, args.out or sys.stdout, exact=args.exact)
     return 0
 
 
@@ -174,12 +129,7 @@ def cmd_synth(args) -> int:
         config = synthgen.SynthConfig.from_dict(
             {**config.as_dict(), "seed": args.seed}
         )
-    out = _out_stream(args)
-    try:
-        rows = synthgen.write_corpus_csv(config, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = synthgen.write_corpus_csv(config, args.out or sys.stdout)
     print(f"volatix: wrote {rows} paper rows", file=sys.stderr)
     return 0
 
@@ -187,12 +137,7 @@ def cmd_synth(args) -> int:
 def cmd_scatter(args) -> int:
     _, reports = _load_reports(args.corpus)
     points = analytics.scatter_data(reports)
-    out = _out_stream(args)
-    try:
-        analytics.write_scatter_csv(points, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    analytics.write_scatter_csv(points, args.out or sys.stdout)
     return 0
 
 
@@ -265,11 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except VolatixError as exc:
-        print(f"volatix: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`volatix ... | head`): exit quietly, with
+        # stdout on the null device so the flush at interpreter exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    except OSError as exc:
+    except (VolatixError, UnicodeDecodeError, OSError) as exc:
         print(f"volatix: {exc}", file=sys.stderr)
         return 1
 

@@ -11,13 +11,15 @@ everywhere (CSV, JSON, CLI):
 * ``--exact`` mode: the full rational as ``"numerator/denominator"``.
 
 Keeping formatting centralized (and float-free for the rounded forms) is what
-makes serialized output byte-identical across runs and worker counts.
+makes serialized output byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import decimal
 from fractions import Fraction
+
+from .errors import InvalidNumberError
 
 
 def round_half_up(x: Fraction, places: int = 0) -> Fraction:
@@ -94,5 +96,12 @@ def plain_number_str(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse '16.15', '3/4' or '12' into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse '16.15', '3/4' or '12' into an exact Fraction.
+
+    Text that is not a finite rational, or has a zero denominator, raises
+    :class:`~volatix.errors.InvalidNumberError`.
+    """
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise InvalidNumberError(f"not a rational number: {text!r}") from None

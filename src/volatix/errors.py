@@ -39,6 +39,10 @@ class MalformedRowError(VolatixError):
         self.column = column
 
 
+class InvalidNumberError(VolatixError):
+    """Text given as a number is not a finite rational."""
+
+
 class InvalidThresholdsError(VolatixError):
     """Threshold cuts must be strictly increasing."""
 

@@ -44,6 +44,7 @@ the chunked stage is what keeps it within its bound.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import hashlib
 import io
@@ -630,21 +631,42 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     return Corpus(journals=journals, papers=papers, provenance=provenance), log
 
 
+@contextlib.contextmanager
+def _open_out(dest: Union[str, Path, io.TextIOBase]):
+    """Yield a text stream for ``dest``: a path is opened (UTF-8, no newline
+    translation) and closed afterwards, a stream is used as it is."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as out:
+            yield out
+    else:
+        yield dest
+
+
+def write_csv(dest: Union[str, Path, io.TextIOBase], header: list, rows: Iterable) -> int:
+    """Write ``header`` and then ``rows`` as CSV with LF endings to a path or a
+    text stream; returns how many rows (not counting the header) were written."""
+    count = 0
+    with _open_out(dest) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+            count += 1
+    return count
+
+
+def write_json(dest: Union[str, Path, io.TextIOBase], payload) -> None:
+    """Write ``payload`` as JSON indented by two spaces, plus a final newline."""
+    with _open_out(dest) as out:
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+
+
 def write_journals_csv(corpus: Corpus, dest: Union[str, Path, io.TextIOBase]) -> None:
     """Write a corpus as Schema B, rows sorted by journal_id, LF endings."""
-    own = isinstance(dest, (str, Path))
-    out = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        for journal_id in sorted(corpus.journals):
-            agg = corpus.journals[journal_id]
-            writer.writerow(
-                [agg.journal_id, agg.name, agg.total_citations, agg.n_2y, agg.top_cited]
-            )
-    finally:
-        if own:
-            out.close()
+    aggs = (corpus.journals[journal_id] for journal_id in sorted(corpus.journals))
+    rows = ([a.journal_id, a.name, a.total_citations, a.n_2y, a.top_cited] for a in aggs)
+    write_csv(dest, AGGREGATE_HEADER, rows)
 
 
 def write_papers_csv(
@@ -652,19 +674,7 @@ def write_papers_csv(
 ) -> int:
     """Write Schema-A rows (journal_id, journal_name, paper_id, item_type,
     citations) and return how many were written."""
-    own = isinstance(dest, (str, Path))
-    out = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    count = 0
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(PAPER_HEADER)
-        for row in rows:
-            writer.writerow(row)
-            count += 1
-    finally:
-        if own:
-            out.close()
-    return count
+    return write_csv(dest, PAPER_HEADER, rows)
 
 
 def sniff_schema(path: Union[str, Path]) -> str:

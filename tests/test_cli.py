@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -48,6 +49,12 @@ class TestWhatIf:
         with pytest.raises(SystemExit) as exc:
             main(["whatif", "--f", "abc", "--n", "33", "--c", "209"])
         assert exc.value.code != 0
+
+    def test_zero_denominator_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["whatif", "--f", "1/0", "--n", "33", "--c", "209"])
+        assert exc.value.code == 2
+        assert "invalid parse_rational value: '1/0'" in capsys.readouterr().err
 
 
 class TestReport:
@@ -99,6 +106,26 @@ class TestReport:
         data = json.loads(out)
         assert len(data) == 10
 
+    @pytest.mark.parametrize("command", ["report", "ingest"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "journal_id,journal_name,total_citations,n_2y,top_paper_citations\n"
+            "R,Revue \xe9conomique,10,5,6\n",
+            "journal_id,journal_name,paper_id,item_type,citations\n"
+            "R,Revue \xe9conomique,P1,article,3\n",
+        ],
+        ids=["journals", "papers"],
+    )
+    def test_invalid_utf8_exit_one(self, capsys, tmp_path, command, text):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("volatix: 'utf-8' codec can't decode byte 0xe9 in position ")
+
     def test_missing_file_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "report", "/nonexistent/journals.csv")
         assert code == 1
@@ -139,6 +166,16 @@ class TestRankAndThresholds:
         rows = out.splitlines()[1:]
         assert rows[0].split(",")[:2] == ["5", "7"]  # 68.27..5.57 exceed 5
         assert rows[1].split(",")[:2] == ["10", "3"]  # 68.27, 15.80, 13.67
+
+    @pytest.mark.parametrize("cuts", ["1/0", "abc", "0.5,1/0"])
+    @pytest.mark.parametrize("key", ["abs", "rel"])
+    def test_bad_cut_is_one_line_error(self, capsys, absolute_fixture, cuts, key):
+        code, out, err = run_cli(
+            capsys, "thresholds", str(absolute_fixture), "--key", key, "--cuts", cuts
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"volatix: not a rational number: '{cuts.split(',')[-1]}'"]
 
     def test_unsorted_cuts_fail(self, capsys, absolute_fixture):
         code, _, err = run_cli(
@@ -221,6 +258,69 @@ class TestPipelineComposability:
         monkeypatch.setenv("VOLATIX_THREADS", "7")
         _, threaded, _ = run_cli(capsys, "report", str(absolute_fixture))
         assert serial == threaded
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "{papers}"],
+            ["report", "{abs}"],
+            ["report", "{abs}", "--format", "json", "--exact"],
+            ["rank", "{rel}", "--key", "rel"],
+            ["rank", "{abs}", "--format", "json"],
+            ["thresholds", "{abs}"],
+            ["thresholds", "{rel}", "--key", "rel", "--format", "json"],
+            ["scatter", "{abs}"],
+            ["synth", "{config}", "--seed", "3"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("{")),
+    )
+    def test_out_file_matches_stdout(
+        self, capsysbinary, tmp_path, data_dir, absolute_fixture, relative_fixture,
+        papers_sample, argv,
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**json.loads((data_dir / "synth_config.json").read_text()),
+                        "n_journals": 20})
+        )
+        paths = {"{papers}": papers_sample, "{abs}": absolute_fixture,
+                 "{rel}": relative_fixture, "{config}": config}
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert stdout.count(b"\n") > 1
+        assert out.read_bytes() == stdout
+
+
+@pytest.mark.parametrize(
+    "command, lines_read",
+    [
+        # large output: the pipe closes while the writer runs
+        (["synth", "synth_config.json"], 1),
+        # small output, still buffered when the command returns
+        (["rank", "top_absolute_2017.csv"], 0),
+    ],
+    ids=["while-writing", "at-flush"],
+)
+def test_closed_pipe_exits_quietly(data_dir, command, lines_read):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "volatix", command[0], str(data_dir / command[1])],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"journal_id,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_module_entry_point_subprocess(absolute_fixture):

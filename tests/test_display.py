@@ -11,6 +11,7 @@ from volatix.display import (
     round_half_up,
     sig2_percent_str,
 )
+from volatix.errors import InvalidNumberError
 
 
 def test_round_half_up_ties_away_from_zero():
@@ -75,3 +76,9 @@ def test_exact_str_and_parse_round_trip():
     assert parse_rational("16.15") == Fraction(323, 20)
     assert parse_rational("-17183/5300") == x
     assert parse_rational("12") == 12
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "", "nan", "inf", "1/2/3"])
+def test_parse_rational_rejects_non_rationals(text):
+    with pytest.raises(InvalidNumberError, match="not a rational number"):
+        parse_rational(text)

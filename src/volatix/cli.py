@@ -220,7 +220,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (VolatixError, UnicodeDecodeError, OSError) as exc:
+    except (VolatixError, OSError) as exc:
         print(f"volatix: {exc}", file=sys.stderr)
         return 1
 

@@ -23,20 +23,27 @@ Nothing is dropped silently: every removal lands in the CleaningLog, and the
 citation totals reconcile exactly (``citations_read == citations_kept +
 citations_removed``).
 
-Structurally unreadable rows (wrong arity, unparseable integers) raise
+Structurally unreadable rows (wrong arity, counts that are not ASCII digits
+with an optional leading ``-``, a field over ``csv.field_size_limit()``) raise
 :class:`~volatix.errors.MalformedRowError` with the line number; rows that are
 readable but invalid (negative counts, unknown item types, violated count
 invariants) are rejected and logged instead.
 
-Schema A is parsed in two stages.  Plain lines (unquoted, valid UTF-8, five
-fields, an exactly spelled item type and 1-10 ASCII digits of in-range
-citations) are parsed with numpy in chunks of about 128 KiB, with Python work
-per run of lines sharing a ``journal_id`` rather than per row.  From the first
-line that is not plain (a quote, a blank line, a bad field, a rejected row,
-anything else) the ``csv`` module takes the rest of the file, continuing the
-same counters, hash and line numbers, so every error and warning comes from
-the ``csv`` row loop.  The handoff happens once; quoted input goes through
-``csv`` from its first quoted line.  The acceptance gate times this parse of a
+Every byte of an input file is read once, through one reader that hashes it
+for the provenance digest and checks that it is UTF-8.  Every row wholly
+before the first invalid byte is parsed, and then the parse raises
+``MalformedRowError("invalid UTF-8 byte 0xe9 at offset 73", line=2)``, with
+the byte's 0-based offset in the file.
+
+Schema A is parsed in two stages.  Plain lines (unquoted, five fields, an
+exactly spelled item type and 1-10 ASCII digits of in-range citations) are
+parsed with numpy in chunks of about 128 KiB, with Python work per run of
+lines sharing a ``journal_id`` rather than per row.  From the first line that
+is not plain (a quote, a blank line, a bad field, a rejected row, anything
+else) the ``csv`` module takes the rest of the file, continuing the same
+counters, hash and line numbers, so every error and warning comes from the
+``csv`` row loop.  The handoff happens once; quoted input goes through ``csv``
+from its first quoted line.  The acceptance gate times this parse of a
 million rows with ``tracemalloc`` on, which charges every Python object, so
 the chunked stage is what keeps it within its bound.
 """
@@ -135,41 +142,63 @@ class Corpus:
         return len(self.journals)
 
 
-# TextIOWrapper decodes its input in reads of this many bytes.
-_TEXT_CHUNK = 8192
+class _InputReader(io.RawIOBase):
+    """Binary reader that every read of an input file goes through.
 
-
-class _HashingReader(io.RawIOBase):
-    """Binary pass-through that feeds every byte it reads from ``raw`` into a
-    hash.
-
-    ``pending`` holds bytes already read from ``raw`` and hashed, served
-    first; ``offset`` is the input position of its first byte.  No read
-    crosses a multiple of _TEXT_CHUNK input bytes, so text decoded from here
-    comes in the same steps as from a full read of the input from the start.
+    It hashes each byte read from ``raw`` once, into ``hasher``, and serves
+    only valid UTF-8: a character split by a read is held back until its
+    last byte is read, and at the first invalid sequence only the bytes
+    before it are served.  The read after those raises MalformedRowError
+    with the byte's 0-based offset in the file and its line, counted in LF
+    line breaks.  ``unread`` gives bytes back, to be served first.
     """
 
-    def __init__(self, raw, hasher, pending: bytes = b"", offset: int = 0):
+    def __init__(self, raw):
         self._raw = raw
-        self._hasher = hasher
-        self._pending = memoryview(pending)
-        self._offset = offset
+        self.hasher = hashlib.sha256()
+        self._pending = b""  # checked, not yet served
+        self._split = b""  # the start of a character split by the last read
+        self._offset = 0  # file offset of self._split
+        self._lines = 1  # line of self._split
+        self._error = None
 
     def readable(self) -> bool:
         return True
 
-    def readinto(self, b) -> int:
-        size = min(len(b), _TEXT_CHUNK - self._offset % _TEXT_CHUNK)
-        n = min(size, len(self._pending))
-        b[:n] = self._pending[:n]
-        self._pending = self._pending[n:]
-        if n < size:
-            data = self._raw.read(size - n)
-            self._hasher.update(data)
-            b[n : n + len(data)] = data
-            n += len(data)
-        self._offset += n
-        return n
+    def unread(self, data: bytes) -> None:
+        self._pending = data + self._pending
+
+    def read(self, size: int) -> bytes:
+        """Up to ``size`` bytes; ``b""`` at the end of the input."""
+        while not self._pending:
+            if self._error is not None:
+                raise self._error
+            if not self._fill(size):
+                return b""
+        data, self._pending = self._pending[:size], self._pending[size:]
+        return data
+
+    def _fill(self, size: int) -> bool:
+        """Read up to ``size`` bytes into _pending; False at the end of input."""
+        block = self._raw.read(size)
+        self.hasher.update(block)
+        data = self._split + block
+        if data.isascii():
+            valid = len(data)
+        else:
+            try:
+                valid = codecs.utf_8_decode(data, "strict", not block)[1]
+            except UnicodeDecodeError as exc:
+                valid = exc.start
+                self._error = MalformedRowError(
+                    f"invalid UTF-8 byte 0x{data[valid]:02x} "
+                    f"at offset {self._offset + valid}",
+                    line=self._lines + data.count(b"\n", 0, valid),
+                )
+        self._pending, self._split = data[:valid], data[valid:]
+        self._offset += valid
+        self._lines += self._pending.count(b"\n")
+        return bool(data)
 
 
 def _open_binary(source: Source):
@@ -183,20 +212,23 @@ def _open_binary(source: Source):
     return source, lambda: None
 
 
-def _csv_rows(raw, hasher, pending: bytes = b"", offset: int = 0, skip: int = 0):
-    """A csv.reader over ``pending`` and then the rest of ``raw``, after
-    ``skip`` characters of decoded text; see :class:`_HashingReader`.
-
-    A BOM is dropped only when decoding from the start of the input.
-    """
+def _csv_rows(reader: _InputReader, at_start: bool = True):
+    """A csv.reader over what ``reader`` serves; a BOM is dropped only at the
+    start of the input."""
     text = io.TextIOWrapper(
-        io.BufferedReader(_HashingReader(raw, hasher, pending, offset)),
-        encoding="utf-8" if offset else "utf-8-sig",
-        newline="",
+        reader, encoding="utf-8-sig" if at_start else "utf-8", newline=""
     )
-    if skip:
-        text.read(skip)
     return csv.reader(text)
+
+
+@contextlib.contextmanager
+def _csv_errors(rows, first_line: int = 0):
+    """Raise a csv.Error (a field over csv.field_size_limit(), or a NUL on
+    Python 3.10) from ``rows`` as MalformedRowError at its line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise MalformedRowError(str(exc), first_line + rows.line_num) from None
 
 
 def _check_header(rows, expected: list[str]) -> bool:
@@ -212,12 +244,16 @@ def _check_header(rows, expected: list[str]) -> bool:
 
 
 def _parse_count(value: str, line: int, column: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise MalformedRowError(
-            f"cannot parse {column} value {value!r} as integer", line, column
-        ) from None
+    """ASCII digits with an optional leading ``-``; anything else, such as
+    ``1_0``, `` +3 `` or non-ASCII digits, raises MalformedRowError."""
+    if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedRowError(
+        f"cannot parse {column} value {value!r} as integer", line, column
+    )
 
 
 # Bytes per read of the chunked Schema-A parse.  Its numpy temporaries are a
@@ -247,8 +283,8 @@ def _first(mask) -> int:
 def _take_plain_lines(data: bytes, acc: dict, log: CleaningLog) -> tuple[int, int]:
     """Aggregate the leading plain Schema-A lines of ``data`` into ``acc``.
 
-    ``data`` is whole lines, each ending in ``\\n``.  A plain line is valid
-    UTF-8 with no ``"``, NUL or bare ``\\r``, no longer than csv's field size
+    ``data`` is whole lines of valid UTF-8, each ending in ``\\n``.  A plain
+    line has no ``"``, NUL or bare ``\\r``, is no longer than csv's field size
     limit, and has five fields, an item type spelled exactly and 1-10 ASCII
     digits of citations no larger than MAX_CITATIONS: a line that csv and the
     row loop of :func:`_parse_paper_rows` take the same way, without a warning.
@@ -286,8 +322,8 @@ def _take_plain_lines(data: bytes, acc: dict, log: CleaningLog) -> tuple[int, in
 
 def _five_field_lines(data: bytes, b, ends, starts, stops):
     """Comma positions, shape (n, 4), of the leading lines of ``data`` that
-    are valid UTF-8, free of ``"``, NUL and bare ``\\r``, not blank, within
-    csv's field size limit and split into exactly five fields."""
+    are free of ``"``, NUL and bare ``\\r``, not blank, within csv's field
+    size limit and split into exactly five fields."""
     cr = np.flatnonzero(b == _CR)
     bare_cr = cr[b[cr + 1] != _LF]
     first_bad = min(
@@ -295,11 +331,6 @@ def _five_field_lines(data: bytes, b, ends, starts, stops):
     )
     if bare_cr.size:
         first_bad = min(first_bad, int(bare_cr[0]))
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            first_bad = min(first_bad, exc.start)
     commas = np.flatnonzero(b == _COMMA)
     per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
     lengths = stops - starts
@@ -376,62 +407,45 @@ def _add_runs(data: bytes, acc: dict, starts, id_ends, name_ends, totals, tops, 
         entry[3] += count
 
 
-def _parse_plain_prefix(raw, hasher, acc: dict, log: CleaningLog):
-    """Read ``raw`` in chunks, hashing every byte, and take its plain lines.
+def _parse_plain_prefix(reader: _InputReader, acc: dict, log: CleaningLog):
+    """Read the input in chunks and take its leading plain lines.
 
     Returns a csv.reader over the rest of the input and the number of lines
     taken, header included.  No line is taken unless the header is exactly
-    PAPER_HEADER.
+    PAPER_HEADER.  A chunk is read only once every whole line read before it
+    is taken, so a line before an invalid byte is parsed before the byte
+    raises.
     """
-    data = raw.read(_CHUNK_BYTES)
-    hasher.update(data)
+    # The first read is two chunks.  glibc's malloc keeps freed heap for reuse
+    # up to a size it raises to twice the largest block freed so far.  After a
+    # first parse of only one chunk's lines that size stays small, and each
+    # later chunk's numpy temporaries go back to the OS and are faulted in
+    # again: 5e4 more page faults and about 0.15 s per 1e6 rows.
+    data = reader.read(2 * _CHUNK_BYTES)
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     header = next((h for h in _PAPER_HEADER_LINES if data.startswith(h, bom)), None)
     if header is None:
-        return _resume_csv_rows(raw, hasher, data, 0, 0), 0
-    # data[0] is input byte ``base``; lines from data[pos] on are not taken yet
-    base, pos = 0, bom + len(header)
-    lines = 1
+        reader.unread(data)
+        return _csv_rows(reader), 0
+    pos, lines = bom + len(header), 1  # data[pos:] is read, not yet taken
     while True:
-        block = raw.read(_CHUNK_BYTES)
-        hasher.update(block)
-        # keep what _resume_csv_rows may restart from: the last multiple of
-        # _TEXT_CHUNK and the up to 3 bytes of a character straddling it
-        keep = max((base + pos) // _TEXT_CHUNK * _TEXT_CHUNK - 3, 0) - base
-        data = data[keep:] + block
-        base, pos = base + keep, pos - keep
-        if block:
-            cut = data.rfind(b"\n") + 1
-            if cut <= pos:  # a line longer than the buffer
+        cut = data.rfind(b"\n") + 1
+        if cut > pos:
+            taken, size = _take_plain_lines(data[pos:cut], acc, log)
+            lines += taken
+            pos += size
+            if pos < cut:
                 break
-            whole = data[pos:cut]
-        elif pos == len(data):
+        elif len(data) - pos >= _CHUNK_BYTES:  # a line longer than a chunk
             break
-        else:  # the last line may lack its newline
-            whole = data[pos:] + (b"" if data.endswith(b"\n") else b"\n")
-        taken, size = _take_plain_lines(whole, acc, log)
-        lines += taken
-        pos = min(pos + size, len(data))
-        if size < len(whole) or not block:
+        block = reader.read(_CHUNK_BYTES)
+        if not block:  # the last line may lack its newline
+            if pos < len(data) and _take_plain_lines(data[pos:] + b"\n", acc, log)[0]:
+                pos, lines = len(data), lines + 1
             break
-    return _resume_csv_rows(raw, hasher, data, base, pos), lines
-
-
-def _resume_csv_rows(raw, hasher, data: bytes, base: int, pos: int):
-    """A csv.reader from input byte ``base + pos`` on; ``data`` holds the
-    input read so far from byte ``base`` on.
-
-    Decoding restarts at the last multiple of _TEXT_CHUNK bytes, or at the
-    character that straddles it, with the text up to ``pos`` skipped.  The
-    decoder then sees the same bytes in the same steps as a read from the
-    start, so a decode error surfaces at the same row with the same message.
-    """
-    start = (base + pos) // _TEXT_CHUNK * _TEXT_CHUNK - base
-    if start < pos:  # else a line starts on the step, after a "\n"
-        while data[start] & 0xC0 == 0x80:  # a UTF-8 continuation byte
-            start -= 1
-    skip = len(data[start:pos].decode("utf-8-sig" if base + start == 0 else "utf-8"))
-    return _csv_rows(raw, hasher, data[start:], base + start, skip)
+        data, pos = data[pos:] + block, 0
+    reader.unread(data[pos:])
+    return _csv_rows(reader, at_start=False), lines
 
 
 def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog, papers) -> None:
@@ -491,18 +505,19 @@ def parse_paper_level(source: Source, *, keep_papers: bool = False):
     docstring).  Results, errors and warnings are the same either way.
     """
     raw, close = _open_binary(source)
-    hasher = hashlib.sha256()
+    reader = _InputReader(raw)
     log = CleaningLog()
     # journal_id -> [name, total, top, n_citable]
     acc: dict[str, list] = {}
     papers: Optional[list[PaperRecord]] = [] if keep_papers else None
     try:
         if keep_papers:
-            rows, lines = _csv_rows(raw, hasher), 0
+            rows, lines = _csv_rows(reader), 0
         else:
-            rows, lines = _parse_plain_prefix(raw, hasher, acc, log)
-        if lines or _check_header(rows, PAPER_HEADER):
-            _parse_paper_rows(rows, lines, acc, log, papers)
+            rows, lines = _parse_plain_prefix(reader, acc, log)
+        with _csv_errors(rows, lines):
+            if lines or _check_header(rows, PAPER_HEADER):
+                _parse_paper_rows(rows, lines, acc, log, papers)
     finally:
         close()
 
@@ -522,7 +537,7 @@ def parse_paper_level(source: Source, *, keep_papers: bool = False):
     corpus = Corpus(
         journals=journals,
         papers=papers,
-        provenance=Provenance(hasher.hexdigest(), "papers"),
+        provenance=Provenance(reader.hasher.hexdigest(), "papers"),
     )
     return corpus, log
 
@@ -560,20 +575,21 @@ def parse_aggregate(source: Source):
     as :func:`dedupe_and_filter` does.
     """
     raw, close = _open_binary(source)
-    hasher = hashlib.sha256()
+    reader = _InputReader(raw)
     log = CleaningLog()
     try:
-        rows = _csv_rows(raw, hasher)
+        rows = _csv_rows(reader)
         journals: dict[str, JournalAggregate] = {}
         seen: set[str] = set()
-        if _check_header(rows, AGGREGATE_HEADER):
-            for agg in _iter_aggregate_rows(rows, log):
-                _clean_into(journals, seen, agg, log)
+        with _csv_errors(rows):
+            if _check_header(rows, AGGREGATE_HEADER):
+                for agg in _iter_aggregate_rows(rows, log):
+                    _clean_into(journals, seen, agg, log)
     finally:
         close()
     log.journals_kept = len(journals)
     corpus = Corpus(
-        journals=journals, provenance=Provenance(hasher.hexdigest(), "journals")
+        journals=journals, provenance=Provenance(reader.hasher.hexdigest(), "journals")
     )
     return corpus, log
 
@@ -680,8 +696,9 @@ def write_papers_csv(
 def sniff_schema(path: Union[str, Path]) -> str:
     """Return 'papers' or 'journals' from a file's header line."""
     with open(path, "rb") as fh:
-        text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
-        header = next(csv.reader(text), None)
+        rows = _csv_rows(_InputReader(fh))
+        with _csv_errors(rows):
+            header = next(rows, None)
     if header == PAPER_HEADER:
         return "papers"
     if header == AGGREGATE_HEADER:

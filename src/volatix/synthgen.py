@@ -232,7 +232,7 @@ class SynthConfig:
     def from_json_file(cls, path: Union[str, Path]) -> "SynthConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"bad synth config JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volatix import analytics, ingest, synthgen
 from volatix.cli import main
@@ -119,12 +122,57 @@ class TestReport:
     )
     def test_invalid_utf8_exit_one(self, capsys, tmp_path, command, text):
         path = tmp_path / "latin1.csv"
-        path.write_bytes(text.encode("latin-1"))
+        raw = text.encode("latin-1")
+        path.write_bytes(raw)
+        offset = raw.index(b"\xe9")
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 1
         assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("volatix: 'utf-8' codec can't decode byte 0xe9 in position ")
+        assert err.splitlines() == [f"volatix: invalid UTF-8 byte 0xe9 at offset {offset} (line 2)"]
+
+    @pytest.mark.parametrize("command", ["report", "ingest"])
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("journal_id,journal_name,total_citations,n_2y,top_paper_citations\n"
+             "R,{field},10,5,6\n", 2),
+            ("journal_id,journal_name,paper_id,item_type,citations\n"
+             "R,{field},P1,article,3\n", 2),
+            ("{field}\n", 1),
+        ],
+        ids=["journals", "papers", "header"],
+    )
+    def test_field_over_csv_limit_exit_one(self, capsys, tmp_path, command, text, line):
+        path = tmp_path / "long.csv"
+        path.write_text(text.format(field="x" * 200_000))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"volatix: field larger than field limit ({csv.field_size_limit()}) (line {line})"
+        ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "journal_id,journal_name,total_citations,n_2y,top_paper_citations\n"
+            "R,Re\0vue,10,5,6\n",
+            "journal_id,journal_name,paper_id,item_type,citations\n"
+            "R,Re\0vue,P1,article,3\nR,Revue,P2,article,4\n",
+        ],
+        ids=["journals", "papers"],
+    )
+    def test_nul_byte(self, capsys, tmp_path, text):
+        # csv rejects a NUL before Python 3.11 and reads it as data from 3.11 on
+        path = tmp_path / "nul.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", str(path))
+        if sys.version_info < (3, 11):
+            assert (code, out) == (1, "")
+            assert err.splitlines() == ["volatix: line contains NUL (line 2)"]
+        else:
+            assert code == 0
+            assert out.splitlines()[1].startswith("R,")
 
     def test_missing_file_exit_one(self, capsys):
         code, out, err = run_cli(capsys, "report", "/nonexistent/journals.csv")
@@ -216,6 +264,14 @@ class TestSynthAndScatter:
         code, _, err = run_cli(capsys, "synth", str(bad))
         assert code == 1
 
+    def test_config_invalid_utf8_exit_one(self, capsys, tmp_path):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(b'{"name": "Revue \xe9conomique"}')
+        code, out, err = run_cli(capsys, "synth", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("volatix: bad synth config JSON: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
 
 class TestPipelineComposability:
     def test_cli_pipeline_matches_library(self, capsys, tmp_path):
@@ -251,13 +307,6 @@ class TestPipelineComposability:
         buf = io.StringIO()
         analytics.write_ranked_csv(table, buf)
         assert buf.getvalue() == rank_out
-
-    def test_thread_env_does_not_change_bytes(self, capsys, absolute_fixture, monkeypatch):
-        monkeypatch.setenv("VOLATIX_THREADS", "1")
-        _, serial, _ = run_cli(capsys, "report", str(absolute_fixture))
-        monkeypatch.setenv("VOLATIX_THREADS", "7")
-        _, threaded, _ = run_cli(capsys, "report", str(absolute_fixture))
-        assert serial == threaded
 
 
 class TestOutFile:
@@ -332,3 +381,25 @@ def test_module_entry_point_subprocess(absolute_fixture):
     )
     assert proc.returncode == 0
     assert "CA-CANCER J CLIN" in proc.stdout
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["report", "rank", "thresholds", "scatter", "ingest"]),
+    header=st.one_of(
+        st.just(b""),
+        st.sampled_from([ingest.PAPER_HEADER, ingest.AGGREGATE_HEADER]).map(
+            lambda h: ",".join(h).encode() + b"\n"
+        ),
+    ),
+    body=st.one_of(
+        st.binary(max_size=400),
+        st.text(alphabet='0123456789,-+_"\n\r\0 xé\u0663', max_size=400).map(str.encode),
+    ),
+)
+def test_random_input_ends_in_status_0_or_1(tmp_path_factory, command, header, body):
+    # st.one_of draws from its branches about equally: a valid header or none
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(header + body)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, str(path)]) in (0, 1)

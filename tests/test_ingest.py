@@ -74,6 +74,14 @@ class TestParsePaperLevel:
             parse_paper_level(papers_csv(rows))
         assert exc.value.column == "citations"
 
+    @pytest.mark.parametrize("text", ["1_0", " +3 ", "+3", "\u0663", "3.0", "", "-", "--3"])
+    @pytest.mark.parametrize("keep_papers", [False, True])
+    def test_citations_must_be_ascii_digits(self, text, keep_papers):
+        rows = BASIC_ROWS + [("J", "Journal J", "p4", "article", text)]
+        with pytest.raises(MalformedRowError) as exc:
+            parse_paper_level(papers_csv(rows), keep_papers=keep_papers)
+        assert (exc.value.line, exc.value.column) == (5, "citations")
+
     def test_negative_citations_rejected_not_fatal(self):
         rows = BASIC_ROWS + [("J", "Journal J", "p4", "article", -3)]
         corpus, log = parse_paper_level(papers_csv(rows))
@@ -277,17 +285,22 @@ class TestChunkedHandoff:
         return filler, filler + [odd_row] + self.TAIL
 
     @pytest.mark.parametrize(
-        "odd_row, odd_line",
+        "odd_row, odd_line, malformed",
         [
-            (("Q1", "Quoted, Journal", "q1", "article", "5"), 'Q1,"Quoted, Journal",q1,article,5'),
-            (("LAST", "Last", "x1", "article", "+3"), "LAST,Last,x1,article,+3"),
+            (("Q1", "Quoted, Journal", "q1", "article", "5"), 'Q1,"Quoted, Journal",q1,article,5', False),
+            (("LAST", "Last", "x1", "article", "+3"), "LAST,Last,x1,article,+3", True),
         ],
         ids=["quoted-name", "plus-sign"],
     )
-    def test_csv_continues_after_handoff(self, odd_row, odd_line, caplog):
+    def test_csv_continues_after_handoff(self, odd_row, odd_line, malformed, caplog):
         filler, rows = self.rows_with(odd_row)
         lines = [",".join(r) for r in filler] + [odd_line] + [",".join(r) for r in self.TAIL]
-        assert_matches_reference(schema_a(lines), rows, caplog)
+        if not malformed:
+            assert_matches_reference(schema_a(lines), rows, caplog)
+            return
+        with pytest.raises(MalformedRowError) as exc:  # counts are ASCII digits only
+            parse_paper_level(io.BytesIO(schema_a(lines)))
+        assert (exc.value.line, exc.value.column) == (len(filler) + 2, "citations")
 
     @pytest.mark.parametrize(
         "odd_line", ["", "LAST,Last,x1,article"], ids=["blank-line", "wrong-arity"]
@@ -336,36 +349,59 @@ class TestChunkedHandoff:
         assert_matches_reference(raw, rows, caplog)
 
     @pytest.mark.parametrize("where", ["plain-line", "after-handoff"])
-    def test_decode_error_matches_a_csv_read(self, where):
+    def test_decode_error_matches_a_csv_read(self, where, caplog):
         # An invalid byte in a line the chunked parse would otherwise take, or
-        # after the handoff, where the decoder restarts: either must raise what
-        # a read with csv from the start raises, whichever character spans the
-        # decoder's 8 KiB steps.
+        # after the handoff: either must raise what a read with csv from the
+        # start raises, after the same warnings, wherever the byte falls among
+        # multibyte characters and reads.
         filler = filler_rows(ingest._CHUNK_BYTES, name="Revue n°{} ½")
         odd = ["LAST,Last,x1,article,-1"] if where == "after-handoff" else []
         for pad in range(4):
             lines = [",".join(r) for r in filler[: len(filler) - pad]]
             raw = schema_a(lines + odd + lines[-1000:])
-            # more than one decoder step before the end of the input
             raw = raw[:-20000] + b"\xff" + raw[-20000:]
+            offset = raw.index(b"\xff")
             errors = []
             for keep_papers in (False, True):
-                with pytest.raises(UnicodeDecodeError) as exc:
-                    parse_paper_level(io.BytesIO(raw), keep_papers=keep_papers)
-                errors.append(str(exc.value))
+                caplog.clear()
+                with caplog.at_level(logging.INFO, logger="volatix.ingest"):
+                    with pytest.raises(MalformedRowError) as exc:
+                        parse_paper_level(io.BytesIO(raw), keep_papers=keep_papers)
+                errors.append((str(exc.value), exc.value.line, warned_lines(caplog)))
             assert errors[0] == errors[1]
+            line = raw.count(b"\n", 0, offset) + 1
+            assert errors[0][:2] == (
+                f"invalid UTF-8 byte 0xff at offset {offset} (line {line})", line
+            )
+            assert errors[0][2] == ([len(lines) + 2] if odd else [])
+
+    @pytest.mark.parametrize("chunk", [32, 64, 100])
+    def test_rows_before_an_invalid_byte_come_first(self, monkeypatch, chunk):
+        # Whatever the read sizes, every row before an invalid byte is parsed
+        # first; here a malformed one, which must raise rather than the byte.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        lines = [",".join(r) for r in filler_rows(300)]
+        raw = schema_a(lines[:5] + ["LAST,Last,x1,article"] + lines[5:])
+        end = raw.index(b"\n", raw.index(b"LAST")) + 1
+        for at in range(end, len(raw) + 1):
+            bad = raw[:at] + b"\xff" + raw[at:]
+            for keep_papers in (False, True):
+                with pytest.raises(MalformedRowError, match="expected 5 fields") as exc:
+                    parse_paper_level(io.BytesIO(bad), keep_papers=keep_papers)
+                assert exc.value.line == 7
 
     def test_byte_order_mark_inside_data_is_kept(self, caplog):
-        # The handoff line starts on a multiple of the decoder's read size
-        # with U+FEFF, which only the first bytes of the input may drop.
+        # The handoff line starts with U+FEFF, which only the first bytes of
+        # the input may drop, at a multiple of 8192 bytes, the size of a text
+        # decoder's reads.
         filler = filler_rows(ingest._CHUNK_BYTES)
         size = len(schema_a([",".join(r) for r in filler]))
-        pad = -(size + len("PAD,,p,article,1\n")) % ingest._TEXT_CHUNK
+        pad = -(size + len("PAD,,p,article,1\n")) % 8192
         rows = filler + [("PAD", "x" * pad, "p", "article", "1")]
         rows += [("\ufeffJ", "Quoted, name", "q", "article", "5")]
         lines = [",".join(r) for r in rows[:-1]] + ['\ufeffJ,"Quoted, name",q,article,5']
         raw = schema_a(lines)
-        assert raw.index("\ufeffJ".encode()) % ingest._TEXT_CHUNK == 0
+        assert raw.index("\ufeffJ".encode()) % 8192 == 0
         assert_matches_reference(raw, rows, caplog)
 
     def test_path_and_stream_agree(self, tmp_path):
@@ -416,6 +452,12 @@ class TestParseAggregate:
         corpus, log = parse_aggregate(journals_csv(rows))
         assert corpus.journals["J"].name == "First"
         assert log.duplicates_removed == 1
+
+    @pytest.mark.parametrize("text", ["1_0", " +3 ", "\u0663"])
+    def test_counts_must_be_ascii_digits(self, text):
+        with pytest.raises(MalformedRowError) as exc:
+            parse_aggregate(journals_csv([("J", "Journal J", 10, 5, 6), ("K", "K", 9, text, 4)]))
+        assert (exc.value.line, exc.value.column) == (3, "n_2y")
 
     def test_wrong_header_raises(self):
         with pytest.raises(MalformedRowError):

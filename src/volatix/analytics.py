@@ -1,15 +1,16 @@
 """Corpus-level volatility products: rankings, threshold tables, scatter data.
 
-All computation is a pure map over journals, run in one thread, followed by
-deterministic sorts and exact integer accumulation, so identical corpora
-serialize to identical bytes on every run.  Journals that cannot be ranked
-(single-paper journals, journals whose relative volatility is undefined) are
-surfaced in a sidecar exclusion list, never dropped silently.
+All computation is a pure map over journals, run in one thread, then a heap
+top-k over the exact key and threshold counts that cross-multiply numerators
+and denominators, so identical corpora serialize to identical bytes on every
+run.  Journals that cannot be ranked (single-paper journals, or undefined
+relative volatility) go to a sidecar exclusion list, never dropped silently.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -113,10 +114,9 @@ def rank_by_volatility(
         else:
             eligible.append(report)
     eligible.sort(key=lambda r: r.journal_id)
-    eligible.sort(key=lambda r: (_key_value(r, key), r.delta_f), reverse=True)
-    return RankedTable(
-        key=key, rows=tuple(eligible[:k]), k=k, excluded=tuple(excluded)
-    )
+    # nlargest is sorted(..., reverse=True)[:k], stable on ties like that sort
+    rows = heapq.nlargest(k, eligible, key=lambda r: (_key_value(r, key), r.delta_f))
+    return RankedTable(key=key, rows=tuple(rows), k=k, excluded=tuple(excluded))
 
 
 def threshold_table(
@@ -126,8 +126,8 @@ def threshold_table(
 ) -> ThresholdTable:
     """How many journals exceed each cut, with the share of ranked journals.
 
-    Membership is strict (value > threshold).  Thresholds must be strictly
-    increasing, which forces the counts to be non-increasing.
+    Membership is strict (value > cut p/q, tested as q * num > p * den).
+    Thresholds must be strictly increasing, so counts are non-increasing.
     """
     cuts = [Fraction(t) for t in thresholds]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -139,7 +139,8 @@ def threshold_table(
     total = len(values)
     rows = []
     for cut in cuts:
-        count = sum(1 for v in values if v > cut)
+        p, q = cut.numerator, cut.denominator
+        count = sum(q * v.numerator > p * v.denominator for v in values)
         percent = Fraction(count, total) if total else Fraction(0)
         rows.append(ThresholdRow(cut, count, percent))
     return ThresholdTable(key=key, rows=tuple(rows), journals_ranked=total)

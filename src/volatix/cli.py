@@ -26,8 +26,8 @@ import sys
 from fractions import Fraction
 
 from . import analytics, ingest, metrics, synthgen
-from .display import decimal_str, exact_str, parse_rational, percent_str
-from .errors import VolatixError
+from .display import MAX_DIGITS, decimal_str, exact_str, parse_rational, percent_str
+from .errors import InvalidNumberError, VolatixError
 
 KEYS = {"abs": analytics.RankKey.ABSOLUTE, "rel": analytics.RankKey.RELATIVE}
 
@@ -91,6 +91,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_whatif(args) -> int:
+    if max(abs(args.n), abs(args.c)) >= 10**MAX_DIGITS:
+        raise InvalidNumberError(f"--n and --c take at most {MAX_DIGITS} digits")
     inputs = metrics.VolatilityInputs(f1=args.f, n1=args.n, c=args.c)
     effect = metrics.classify_paper(args.c, args.f)
     delta_f = metrics.volatility_exact(inputs)

@@ -1,8 +1,8 @@
 """Rendering rules for exact rationals.
 
-All arithmetic in volatix is done on ``fractions.Fraction``; this module owns
-the one place where numbers become strings.  The conventions, applied
-everywhere (CSV, JSON, CLI):
+Values stay exact ``fractions.Fraction``s until here, the one place where
+numbers become strings, rounded on their integer numerator and denominator.
+The conventions, applied everywhere (CSV, JSON, CLI):
 
 * citation averages and absolute volatilities: 2 decimals, ties rounded
   half away from zero ("half-up");
@@ -17,31 +17,38 @@ makes serialized output byte-identical across runs.
 from __future__ import annotations
 
 import decimal
+import re
 from fractions import Fraction
 
 from .errors import InvalidNumberError
+
+#: Longest number, and largest exponent, read from the command line: more
+#: makes ``Fraction`` hang or results too long for ``str(int)`` (4300 digits).
+MAX_DIGITS = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _half_up_units(x: Fraction, scale: int) -> int:
+    """``x * scale`` rounded to an integer, ties away from zero, on ints only."""
+    num = x.numerator * scale
+    units, rest = divmod(abs(num), x.denominator)
+    if 2 * rest >= x.denominator:
+        units += 1
+    return -units if num < 0 else units
 
 
 def round_half_up(x: Fraction, places: int = 0) -> Fraction:
     """Round to ``places`` decimals, ties away from zero, exactly."""
     scale = 10**places
-    num = x.numerator * scale
-    den = x.denominator
-    q, r = divmod(abs(num), den)
-    if 2 * r >= den:
-        q += 1
-    if num < 0:
-        q = -q
-    return Fraction(q, scale)
+    return Fraction(_half_up_units(x, scale), scale)
 
 
 def decimal_str(x: Fraction, places: int = 2) -> str:
     """Fixed-point decimal string with half-up rounding, e.g. ``'68.27'``."""
     scale = 10**places
-    rounded = round_half_up(x, places)
-    units = abs(rounded.numerator) * (scale // rounded.denominator)
-    sign = "-" if rounded < 0 else ""
-    whole, frac = divmod(units, scale)
+    units = _half_up_units(x, scale)
+    sign = "-" if units < 0 else ""
+    whole, frac = divmod(abs(units), scale)
     if places == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:0{places}d}"
@@ -49,7 +56,7 @@ def decimal_str(x: Fraction, places: int = 2) -> str:
 
 def percent_str(x: Fraction) -> str:
     """Ratio rendered as an integer percent, e.g. Fraction(271,100) -> '271%'."""
-    return decimal_str(x * 100, 0) + "%"
+    return f"{_half_up_units(x, 100)}%"
 
 
 def sig2_percent_str(x: Fraction) -> str:
@@ -98,9 +105,12 @@ def plain_number_str(x: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse '16.15', '3/4' or '12' into an exact Fraction.
 
-    Text that is not a finite rational, or has a zero denominator, raises
-    :class:`~volatix.errors.InvalidNumberError`.
+    Text that is not a finite rational, has a zero denominator, or is longer
+    or has a larger exponent than MAX_DIGITS raises ``InvalidNumberError``.
     """
+    exponent = _EXPONENT.search(text)
+    if len(text) > MAX_DIGITS or (exponent and abs(int(exponent[1])) > MAX_DIGITS):
+        raise InvalidNumberError(f"number out of range (over {MAX_DIGITS} digits): {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):

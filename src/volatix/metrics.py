@@ -23,10 +23,10 @@ remove-then-re-add round trip are integer identities that float arithmetic
 would not preserve.
 
 The top-paper decomposition asks the same question of a journal's own most
-cited paper: with final average ``f = C / N_2Y`` and top count ``c*``, the
-"initial" state is the journal without that paper, ``f* = (C - c*) /
-(N_2Y - 1)``, and ``delta_f(c*) = f - f*`` is how much the single best paper
-moved the published average.
+cited paper.  With ``f = C / N_2Y``, top count ``c*`` and the "initial"
+average without that paper ``f* = (C - c*) / (N_2Y - 1)``, the paper moved
+the published average by ``delta_f(c*) = f - f* = (N_2Y c* - C) / (N_2Y
+(N_2Y - 1))``; reports build it, as a ``Fraction``, from those integers.
 """
 
 from __future__ import annotations
@@ -278,7 +278,8 @@ def top_paper_volatility(agg: JournalAggregate) -> VolatilityReport:
 
         f  = C / N_2Y
         f* = (C - c*) / (N_2Y - 1)
-        delta_f = f - f*,   delta_f_rel = delta_f / f*  (None when f* = 0)
+        delta_f     = f - f*       = (N_2Y c* - C) / (N_2Y (N_2Y - 1))
+        delta_f_rel = delta_f / f* = (N_2Y c* - C) / (N_2Y (C - c*))  (None if C = c*)
 
     Raises SingletonJournalError for n_2y = 1, where f* would divide by zero;
     such journals stay in corpus summaries but cannot be ranked.
@@ -288,18 +289,16 @@ def top_paper_volatility(agg: JournalAggregate) -> VolatilityReport:
             f"journal {agg.journal_id!r} has a single citable paper; "
             "top-paper decomposition is undefined"
         )
-    f = Fraction(agg.total_citations, agg.n_2y)
-    f_star = Fraction(agg.total_citations - agg.top_cited, agg.n_2y - 1)
-    delta_f = f - f_star
-    delta_f_rel = delta_f / f_star if f_star > 0 else None
+    total, n, top = agg.total_citations, agg.n_2y, agg.top_cited
+    excess = n * top - total
     return VolatilityReport(
         journal_id=agg.journal_id,
-        f=f,
-        f_star=f_star,
-        c_star=agg.top_cited,
-        delta_f=delta_f,
-        delta_f_rel=delta_f_rel,
-        n_2y=agg.n_2y,
+        f=Fraction(total, n),
+        f_star=Fraction(total - top, n - 1),
+        c_star=top,
+        delta_f=Fraction(excess, n * (n - 1)),
+        delta_f_rel=Fraction(excess, n * (total - top)) if total != top else None,
+        n_2y=n,
     )
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +373,56 @@ def test_closed_pipe_exits_quietly(data_dir, command, lines_read):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv,code,err_tail",
+    [
+        (
+            ["whatif", "--f", "1e-100000000", "--n", "1", "--c", "1"],
+            2,
+            "argument --f: invalid parse_rational value: '1e-100000000'",
+        ),
+        (
+            ["thresholds", "top_absolute_2017.csv", "--cuts", "1e100000000"],
+            1,
+            "volatix: number out of range (over 1000 digits): '1e100000000'",
+        ),
+    ],
+    ids=["whatif-f", "thresholds-cuts"],
+)
+def test_huge_exponent_fails_fast(data_dir, argv, code, err_tail):
+    # Fraction("1e100000000") computes 10**100000000, which takes minutes
+    argv = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "volatix", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.splitlines()[-1].endswith(err_tail)
+    assert len(proc.stderr.splitlines()) == code  # a usage line precedes argparse's error
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["thresholds", "top_absolute_2017.csv", "--cuts", "1e4300"], "number out of range"),
+        (["thresholds", "top_absolute_2017.csv", "--cuts", "1" * 1001], "number out of range"),
+        (["thresholds", "top_absolute_2017.csv", "--cuts", "1/" + "3" * 999], "out of range"),
+        (
+            ["whatif", "--f", "1/3", "--n", "1", "--c", "9" * 4300, "--exact"],
+            "--n and --c take at most 1000 digits",
+        ),
+        (["whatif", "--f", "1", "--n", "9" * 1001, "--c", "1"], "--n and --c take at most"),
+    ],
+    ids=["exponent", "digits", "denominator", "whatif-c", "whatif-n"],
+)
+def test_number_too_long_to_print_is_one_line_error(capsys, data_dir, argv, message):
+    # Python converts ints of at most 4300 digits to text; longer would be a traceback
+    argv = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("volatix: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_module_entry_point_subprocess(absolute_fixture):
     proc = subprocess.run(
         [sys.executable, "-m", "volatix", "rank", str(absolute_fixture), "--top", "1"],
@@ -403,3 +454,51 @@ def test_random_input_ends_in_status_0_or_1(tmp_path_factory, command, header, b
     path.write_bytes(header + body)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([command, str(path)]) in (0, 1)
+
+
+NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(-(10**1100), 10**1100).map(str),
+    st.fractions(max_denominator=10**4).map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.sampled_from(
+        ["0", "-1", "1/0", "0/0", "", " ", "abc", "nan", "inf", "1_000", "1e999", "1e1000",
+         "1e4300", "1e-4301", "1e100000000", "1e-100000000", "9" * 4300, "9" * 4301]
+    ),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["report", "rank", "thresholds", "scatter", "whatif"]))
+    if command == "whatif":
+        argv = [command] + [x for flag in ("--f", "--n", "--c") for x in (flag, draw(NUMBERS))]
+    else:
+        corpus = ["top_absolute_2017.csv", "top_relative_2017.csv", "papers_sample.csv"]
+        argv = [command, draw(st.sampled_from(corpus))]
+    if command in ("rank", "thresholds"):
+        argv += ["--key", draw(st.sampled_from(["abs", "rel"]))]
+    if command == "rank" and draw(st.booleans()):
+        argv += ["--top", draw(NUMBERS)]
+    if command == "thresholds" and draw(st.booleans()):
+        argv += ["--cuts", draw(st.just(",,") | st.lists(NUMBERS, max_size=4).map(",".join))]
+    if command != "scatter":
+        formats = ["text", "json"] if command == "whatif" else ["csv", "json"]
+        argv += ["--format", draw(st.sampled_from(formats))]
+        argv += draw(st.sampled_from([[], ["--exact"]]))
+    return argv
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(argv=cli_argv())
+def test_random_argv_ends_in_status_0_1_or_2(data_dir, argv):
+    argv = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)  # any exception but SystemExit fails the test
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("volatix: ")

@@ -31,6 +31,9 @@ def test_round_half_up_ties_away_from_zero():
         (Fraction(99, 650), 2, "0.15"),
         (Fraction(5), 0, "5"),
         (Fraction(1, 25), 2, "0.04"),
+        (Fraction(-4, 1000), 2, "0.00"),
+        (Fraction(-5, 1000), 2, "-0.01"),
+        (Fraction(1005, 1000), 2, "1.01"),
     ],
 )
 def test_decimal_str(value, places, expected):
@@ -43,6 +46,8 @@ def test_percent_str_rounds_to_integer_percent():
     assert percent_str(Fraction(673, 272)) == "247%"
     assert percent_str(Fraction(0)) == "0%"
     assert percent_str(Fraction(-1, 53)) == "-2%"
+    assert percent_str(Fraction(-1, 200)) == "-1%"
+    assert percent_str(Fraction(-1, 201)) == "0%"
 
 
 def test_sig2_percent_two_significant_figures():

@@ -54,7 +54,6 @@ from .ingest import (
     parse_aggregate,
     parse_paper_level,
     write_journals_csv,
-    write_papers_csv,
 )
 from .metrics import (
     ItemType,

@@ -11,10 +11,10 @@ Commands::
     volatix synth CONFIG.json [--seed S] [--out papers.csv]
     volatix scatter CORPUS [--out scatter.csv]
 
-All data goes to stdout (or --out); diagnostics, including the cleaning log
-as JSON, go to stderr.  Exit status is 0 unless a fatal error occurred.
-CORPUS may be either CSV schema; the header decides.  Reports are computed in
-one thread.
+All data goes to stdout (or --out, which replaces its file only once all is
+written); diagnostics, including the cleaning log as JSON, go to stderr.
+Exit status is 0 unless a fatal error occurred.  CORPUS may be either CSV
+schema; the header decides.  Reports are computed in one thread.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ KEYS = {"abs": analytics.RankKey.ABSOLUTE, "rel": analytics.RankKey.RELATIVE}
 
 
 def _parse_cuts(text: str, key: analytics.RankKey) -> list[Fraction]:
-    cuts = [parse_rational(part) for part in text.split(",") if part.strip()]
+    cuts = [parse_rational(part) for part in text.split(",")]
     if key is analytics.RankKey.RELATIVE:
         cuts = [c / 100 for c in cuts]
     return cuts
@@ -77,7 +77,7 @@ def cmd_rank(args) -> int:
 
 def cmd_thresholds(args) -> int:
     key = KEYS[args.key]
-    if args.cuts:
+    if args.cuts is not None:
         cuts = _parse_cuts(args.cuts, key)
     elif key is analytics.RankKey.ABSOLUTE:
         cuts = list(analytics.DEFAULT_ABSOLUTE_CUTS)

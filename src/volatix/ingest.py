@@ -35,17 +35,19 @@ before the first invalid byte is parsed, and then the parse raises
 ``MalformedRowError("invalid UTF-8 byte 0xe9 at offset 73", line=2)``, with
 the byte's 0-based offset in the file.
 
-Schema A is parsed in two stages.  Plain lines (unquoted, five fields, an
-exactly spelled item type and 1-10 ASCII digits of in-range citations) are
-parsed with numpy in chunks of about 128 KiB, with Python work per run of
-lines sharing a ``journal_id`` rather than per row.  From the first line that
-is not plain (a quote, a blank line, a bad field, a rejected row, anything
-else) the ``csv`` module takes the rest of the file, continuing the same
-counters, hash and line numbers, so every error and warning comes from the
-``csv`` row loop.  The handoff happens once; quoted input goes through ``csv``
-from its first quoted line.  The acceptance gate times this parse of a
-million rows with ``tracemalloc`` on, which charges every Python object, so
-the chunked stage is what keeps it within its bound.
+Schema A is parsed in two stages, and only the input picks between them.
+After a header spelled exactly as PAPER_HEADER, plain lines (unquoted, five
+fields, an exactly spelled item type and 1-10 ASCII digits of in-range
+citations) are parsed with numpy in chunks of about 128 KiB, with Python work
+per run of lines sharing a ``journal_id`` rather than per row.  From the
+first line that is not plain (a quote, a blank line, a bad field, a rejected
+row, anything else) the ``csv`` module takes the rest of the file, continuing
+the same counters, hash and line numbers, so every error and warning comes
+from the ``csv`` row loop.  The handoff happens once; quoted input goes
+through ``csv`` from its first quoted line, and a header that only ``csv``
+reads (a quoted one, say) sends the whole file there.  The acceptance gate
+times this parse of a million rows with ``tracemalloc`` on, which charges
+every Python object, so the chunked stage is what keeps it within its bound.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ import hashlib
 import io
 import json
 import logging
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
@@ -448,14 +452,14 @@ def _parse_plain_prefix(reader: _InputReader, acc: dict, log: CleaningLog):
     return _csv_rows(reader, at_start=False), lines
 
 
-def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog, papers) -> None:
+def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> None:
     """The csv row loop; ``first_line`` lines precede the rows ``rows`` reads."""
     valid_types = {t.value: t for t in ItemType}
     for row in rows:
         line = first_line + rows.line_num
         if len(row) != 5:
             raise MalformedRowError(f"expected 5 fields, got {len(row)}", line)
-        journal_id, name, paper_id, item_type, citations_text = row
+        journal_id, name, _, item_type, citations_text = row
         citations = _parse_count(citations_text, line, "citations")
         log.rows_read += 1
         if not 0 <= citations <= MAX_CITATIONS:
@@ -486,38 +490,33 @@ def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog, papers
             entry[3] += 1
         else:
             log.citations_removed += citations
-        if papers is not None:
-            papers.append(PaperRecord(journal_id, paper_id, citations, kind))
 
 
-def parse_paper_level(source: Source, *, keep_papers: bool = False):
+def parse_paper_level(source: Source):
     """Stream a Schema-A file into per-journal aggregates.
 
     Returns ``(Corpus, CleaningLog)``.  Aggregation is one pass and
     order-independent: C, N_2Y and c* are a sum, a count and a max over the
     journal's citable rows, so any permutation of the input yields the same
     corpus.  Front-matter rows are counted as read and removed but never touch
-    C or N_2Y.  Set ``keep_papers`` to retain the raw records (costs memory
-    proportional to rows; leave off for large files).
+    C or N_2Y.
 
-    Without ``keep_papers``, plain lines are parsed in numpy chunks until the
-    first line that is not plain; ``csv`` parses the rest (see the module
-    docstring).  Results, errors and warnings are the same either way.
+    The input picks the stage: after an exact plain header, plain lines are
+    parsed in numpy chunks until the first line that is not plain, and
+    ``csv`` parses the rest; any other header (a quoted one, say) is read by
+    ``csv`` from line 1 (see the module docstring).  Results, errors and
+    warnings are the same either way.
     """
     raw, close = _open_binary(source)
     reader = _InputReader(raw)
     log = CleaningLog()
     # journal_id -> [name, total, top, n_citable]
     acc: dict[str, list] = {}
-    papers: Optional[list[PaperRecord]] = [] if keep_papers else None
     try:
-        if keep_papers:
-            rows, lines = _csv_rows(reader), 0
-        else:
-            rows, lines = _parse_plain_prefix(reader, acc, log)
+        rows, lines = _parse_plain_prefix(reader, acc, log)
         with _csv_errors(rows, lines):
             if lines or _check_header(rows, PAPER_HEADER):
-                _parse_paper_rows(rows, lines, acc, log, papers)
+                _parse_paper_rows(rows, lines, acc, log)
     finally:
         close()
 
@@ -535,9 +534,7 @@ def parse_paper_level(source: Source, *, keep_papers: bool = False):
         log.citations_kept += total
     log.journals_kept = len(journals)
     corpus = Corpus(
-        journals=journals,
-        papers=papers,
-        provenance=Provenance(reader.hasher.hexdigest(), "papers"),
+        journals=journals, provenance=Provenance(reader.hasher.hexdigest(), "papers")
     )
     return corpus, log
 
@@ -647,28 +644,67 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     return Corpus(journals=journals, papers=papers, provenance=provenance), log
 
 
+def _create_temp(target: str, dest) -> tuple[int, str]:
+    """Create a new file beside ``target`` and return its descriptor and
+    name; its mode is 0o666 less the umask.  An error names ``dest``."""
+    directory, name = os.path.split(target)
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(dest)) from None
+
+
 @contextlib.contextmanager
 def _open_out(dest: Union[str, Path, io.TextIOBase]):
-    """Yield a text stream for ``dest``: a path is opened (UTF-8, no newline
-    translation) and closed afterwards, a stream is used as it is."""
-    if isinstance(dest, (str, Path)):
+    """Yield a text stream for ``dest``: a stream is used as it is, a path is
+    written as UTF-8 with no newline translation.
+
+    A path is written atomically.  The text goes to a temporary file beside
+    the file the path names (a symlink is followed), which replaces that file
+    only once all is written and is deleted on any exception, interrupts
+    included.  A new file gets mode 0o666 less the umask; an existing one
+    keeps its mode.  An existing file that is not a regular file (a device, a
+    FIFO) and any existing path under /dev or /proc, such as /dev/stdout, are
+    written in place.
+    """
+    if not isinstance(dest, (str, Path)):
+        yield dest
+        return
+    try:
+        mode = os.stat(dest).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and (
+        not stat.S_ISREG(mode) or os.path.abspath(dest).startswith(("/dev/", "/proc/"))
+    ):
         with open(dest, "w", encoding="utf-8", newline="") as out:
             yield out
-    else:
-        yield dest
+        return
+    target = os.path.realpath(dest)
+    fd, temp = _create_temp(target, dest)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as out:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            yield out
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
-def write_csv(dest: Union[str, Path, io.TextIOBase], header: list, rows: Iterable) -> int:
+def write_csv(dest: Union[str, Path, io.TextIOBase], header: list, rows: Iterable) -> None:
     """Write ``header`` and then ``rows`` as CSV with LF endings to a path or a
-    text stream; returns how many rows (not counting the header) were written."""
-    count = 0
+    text stream, all rows in one ``csv.writer.writerows`` call."""
     with _open_out(dest) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-            count += 1
-    return count
+        writer.writerows(rows)
 
 
 def write_json(dest: Union[str, Path, io.TextIOBase], payload) -> None:
@@ -685,14 +721,6 @@ def write_journals_csv(corpus: Corpus, dest: Union[str, Path, io.TextIOBase]) ->
     write_csv(dest, AGGREGATE_HEADER, rows)
 
 
-def write_papers_csv(
-    rows: Iterable[tuple], dest: Union[str, Path, io.TextIOBase]
-) -> int:
-    """Write Schema-A rows (journal_id, journal_name, paper_id, item_type,
-    citations) and return how many were written."""
-    return write_csv(dest, PAPER_HEADER, rows)
-
-
 def sniff_schema(path: Union[str, Path]) -> str:
     """Return 'papers' or 'journals' from a file's header line."""
     with open(path, "rb") as fh:
@@ -706,9 +734,9 @@ def sniff_schema(path: Union[str, Path]) -> str:
     raise MalformedRowError(f"unrecognized header {header!r}", line=1)
 
 
-def load_corpus(path: Union[str, Path], *, keep_papers: bool = False):
+def load_corpus(path: Union[str, Path]):
     """Parse either schema by sniffing the header; returns (Corpus, CleaningLog)."""
     schema = sniff_schema(path)
     if schema == "papers":
-        return parse_paper_level(path, keep_papers=keep_papers)
+        return parse_paper_level(path)
     return parse_aggregate(path)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,8 +44,28 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import Corpus, Provenance, write_papers_csv
+from .ingest import PAPER_HEADER, Corpus, Provenance, write_csv
 from .metrics import MAX_CITATIONS, ItemType, JournalAggregate, PaperRecord
+
+
+def _check_ints(model, *names: str) -> None:
+    """Raise ConfigError unless each named field is an integer (not a bool)."""
+    for name in names:
+        value = getattr(model, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_reals(model, *names: str) -> None:
+    """Raise ConfigError unless each named field is a finite real (not a bool)."""
+    for name in names:
+        value = getattr(model, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+        ):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +77,7 @@ class LogUniformSizes:
     kind = "log_uniform"
 
     def __post_init__(self):
+        _check_ints(self, "min", "max")
         if self.min < 2:
             raise ConfigError(f"log_uniform min must be >= 2, got {self.min}")
         if self.max < self.min:
@@ -77,6 +99,7 @@ class FixedSizes:
     kind = "fixed"
 
     def __post_init__(self):
+        _check_ints(self, "n")
         if self.n < 1:
             raise ConfigError(f"fixed size must be >= 1, got {self.n}")
 
@@ -96,6 +119,7 @@ class DiscreteLognormal:
     kind = "discrete_lognormal"
 
     def __post_init__(self):
+        _check_reals(self, "mu", "sigma")
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
 
@@ -142,10 +166,14 @@ class ZipfTruncated:
     kind = "zipf"
 
     def __post_init__(self):
+        _check_reals(self, "alpha")
+        _check_ints(self, "c_max")
         if not self.alpha > 1:
             raise ConfigError(f"zipf alpha must be > 1, got {self.alpha}")
-        if self.c_max < 1:
-            raise ConfigError(f"zipf c_max must be >= 1, got {self.c_max}")
+        if not 1 <= self.c_max <= MAX_CITATIONS:
+            raise ConfigError(
+                f"zipf c_max must be between 1 and {MAX_CITATIONS}, got {self.c_max}"
+            )
 
     def _weights(self) -> np.ndarray:
         k = np.arange(1, self.c_max + 1, dtype=np.float64)
@@ -190,6 +218,7 @@ class SynthConfig:
     seed: int
 
     def __post_init__(self):
+        _check_ints(self, "n_journals", "seed")
         if self.n_journals < 1:
             raise ConfigError(f"n_journals must be >= 1, got {self.n_journals}")
         if not 0 <= self.seed < 2**64:
@@ -220,12 +249,14 @@ class SynthConfig:
             size_cls = _SIZE_MODELS[size_spec.pop("kind")]
             cite_cls = _CITATION_MODELS[cite_spec.pop("kind")]
             return cls(
-                n_journals=int(data["n_journals"]),
+                n_journals=data["n_journals"],
                 size_model=size_cls(**size_spec),
                 citation_model=cite_cls(**cite_spec),
-                seed=int(data["seed"]),
+                seed=data["seed"],
             )
-        except (KeyError, TypeError) as exc:
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: dict("ab")
             raise ConfigError(f"bad synth config: {exc}") from exc
 
     @classmethod
@@ -256,6 +287,12 @@ def journal_citations(config: SynthConfig, index: int, size: int) -> np.ndarray:
     return config.citation_model.sample(gen, size)
 
 
+def _draws(config: SynthConfig) -> Iterator[tuple[str, np.ndarray]]:
+    """``(journal_id, citation counts)`` for every journal, in index order."""
+    for j, (jid, size) in enumerate(zip(_journal_ids(config), journal_sizes(config))):
+        yield jid, journal_citations(config, j, int(size))
+
+
 def generate_corpus(config: SynthConfig, *, keep_papers: bool = True) -> Corpus:
     """Build the synthetic corpus: aggregates always, paper records on demand.
 
@@ -263,23 +300,20 @@ def generate_corpus(config: SynthConfig, *, keep_papers: bool = True) -> Corpus:
     the corpus carries one PaperRecord per paper; switch it off for large
     corpora where only the aggregates matter.
     """
-    ids = _journal_ids(config)
-    sizes = journal_sizes(config)
     journals: dict[str, JournalAggregate] = {}
     papers: Optional[list[PaperRecord]] = [] if keep_papers else None
-    for j, (jid, size) in enumerate(zip(ids, sizes)):
-        counts = journal_citations(config, j, int(size))
+    for jid, counts in _draws(config):
         journals[jid] = JournalAggregate(
             journal_id=jid,
             name=jid,
             total_citations=int(counts.sum()),
-            n_2y=int(size),
+            n_2y=len(counts),
             top_cited=int(counts.max()),
         )
         if papers is not None:
             papers.extend(
-                PaperRecord(jid, f"{jid}-P{i:06d}", int(c), ItemType.ARTICLE)
-                for i, c in enumerate(counts, start=1)
+                PaperRecord(jid, f"{jid}-P{i:06d}", c, ItemType.ARTICLE)
+                for i, c in enumerate(counts.tolist(), start=1)
             )
     digest = hashlib.sha256(
         json.dumps(config.as_dict(), sort_keys=True).encode()
@@ -289,17 +323,15 @@ def generate_corpus(config: SynthConfig, *, keep_papers: bool = True) -> Corpus:
 
 def iter_paper_rows(config: SynthConfig) -> Iterator[tuple]:
     """Schema-A rows for the whole corpus, lazily, in journal-index order."""
-    ids = _journal_ids(config)
-    sizes = journal_sizes(config)
-    for j, (jid, size) in enumerate(zip(ids, sizes)):
-        counts = journal_citations(config, j, int(size))
-        for i, c in enumerate(counts, start=1):
-            yield (jid, jid, f"{jid}-P{i:06d}", "article", int(c))
+    for jid, counts in _draws(config):
+        for i, c in enumerate(counts.tolist(), start=1):
+            yield (jid, jid, f"{jid}-P{i:06d}", "article", c)
 
 
 def write_corpus_csv(config: SynthConfig, dest) -> int:
     """Emit the corpus as a Schema-A papers.csv; returns the row count."""
-    return write_papers_csv(iter_paper_rows(config), dest)
+    write_csv(dest, PAPER_HEADER, iter_paper_rows(config))
+    return int(journal_sizes(config).sum())
 
 
 @dataclass(frozen=True)

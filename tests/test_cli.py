@@ -216,15 +216,27 @@ class TestRankAndThresholds:
         assert rows[0].split(",")[:2] == ["5", "7"]  # 68.27..5.57 exceed 5
         assert rows[1].split(",")[:2] == ["10", "3"]  # 68.27, 15.80, 13.67
 
-    @pytest.mark.parametrize("cuts", ["1/0", "abc", "0.5,1/0"])
+    @pytest.mark.parametrize(
+        "cuts, bad",
+        [
+            pytest.param("1/0", "1/0", id="1/0"),
+            pytest.param("abc", "abc", id="abc"),
+            pytest.param("0.5,1/0", "1/0", id="0.5,1/0"),
+            # empty parts are errors too, never the preset cuts or an empty table
+            pytest.param("", "", id="empty"),
+            pytest.param(",", "", id="comma"),
+            pytest.param(" ", " ", id="space"),
+            pytest.param("1,,2", "", id="empty-part"),
+        ],
+    )
     @pytest.mark.parametrize("key", ["abs", "rel"])
-    def test_bad_cut_is_one_line_error(self, capsys, absolute_fixture, cuts, key):
+    def test_bad_cut_is_one_line_error(self, capsys, absolute_fixture, cuts, bad, key):
         code, out, err = run_cli(
             capsys, "thresholds", str(absolute_fixture), "--key", key, "--cuts", cuts
         )
         assert code == 1
         assert out == ""
-        assert err.splitlines() == [f"volatix: not a rational number: '{cuts.split(',')[-1]}'"]
+        assert err.splitlines() == [f"volatix: not a rational number: {bad!r}"]
 
     def test_unsorted_cuts_fail(self, capsys, absolute_fixture):
         code, _, err = run_cli(
@@ -264,6 +276,26 @@ class TestSynthAndScatter:
         bad.write_text('{"n_journals": 0}')
         code, _, err = run_cli(capsys, "synth", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_journals": "abc"}, "n_journals must be an integer, got 'abc'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"citation_model": {"kind": "discrete_lognormal", "mu": float("nan"),
+                                 "sigma": 1.2}}, "mu must be a finite number, got nan"),
+            ({"citation_model": {"kind": "zipf", "alpha": 2.0, "c_max": 1e20}},
+             "c_max must be an integer, got 1e+20"),
+        ],
+        ids=["string-count", "bool-seed", "nan-mu", "float-c_max"],
+    )
+    def test_bad_config_value_is_one_line_error(self, capsys, data_dir, tmp_path, change, message):
+        config = tmp_path / "config.json"
+        base = json.loads((data_dir / "synth_config.json").read_text())
+        config.write_text(json.dumps({**base, **change}))  # NaN is written as NaN
+        code, out, err = run_cli(capsys, "synth", str(config))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"volatix: {message}"]
 
     def test_config_invalid_utf8_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "config.json"

@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -22,7 +25,7 @@ from volatix.ingest import (
     sniff_schema,
     write_journals_csv,
 )
-from volatix.metrics import MAX_CITATIONS, ItemType, JournalAggregate
+from volatix.metrics import MAX_CITATIONS, JournalAggregate
 
 
 def papers_csv(rows):
@@ -75,11 +78,13 @@ class TestParsePaperLevel:
         assert exc.value.column == "citations"
 
     @pytest.mark.parametrize("text", ["1_0", " +3 ", "+3", "\u0663", "3.0", "", "-", "--3"])
-    @pytest.mark.parametrize("keep_papers", [False, True])
-    def test_citations_must_be_ascii_digits(self, text, keep_papers):
+    @pytest.mark.parametrize("quoted_header", [False, True])
+    def test_citations_must_be_ascii_digits(self, text, quoted_header):
+        # the bad line reaches csv through the handoff, or csv reads from line 1
         rows = BASIC_ROWS + [("J", "Journal J", "p4", "article", text)]
+        raw = papers_csv(rows).getvalue()
         with pytest.raises(MalformedRowError) as exc:
-            parse_paper_level(papers_csv(rows), keep_papers=keep_papers)
+            parse_paper_level(io.BytesIO(quote_header(raw) if quoted_header else raw))
         assert (exc.value.line, exc.value.column) == (5, "citations")
 
     def test_negative_citations_rejected_not_fatal(self):
@@ -121,11 +126,6 @@ class TestParsePaperLevel:
         assert corpus.journals["S"].n_2y == 1
         assert corpus.journals["S"].top_cited == 7
         assert log.singletons_excluded == 1
-
-    def test_keep_papers(self):
-        corpus, _ = parse_paper_level(papers_csv(BASIC_ROWS), keep_papers=True)
-        assert len(corpus.papers) == 3
-        assert corpus.papers[0].item_type is ItemType.ARTICLE
 
     def test_order_independence(self):
         rows = BASIC_ROWS + [
@@ -205,6 +205,13 @@ def filler_rows(min_bytes, name="Journal {}", seed=0):
 def schema_a(lines, *, eol="\n", bom=False, final_eol=True):
     text = eol.join([",".join(PAPER_HEADER)] + lines) + (eol if final_eol else "")
     return (codecs.BOM_UTF8 if bom else b"") + text.encode()
+
+
+def quote_header(raw):
+    """``raw`` with its header's first field quoted: a header only csv reads,
+    so csv parses the whole input from line 1."""
+    assert raw.startswith(b"journal_id,")
+    return b'"journal_id"' + raw[len(b"journal_id") :]
 
 
 def reference_parse(rows):
@@ -362,18 +369,18 @@ class TestChunkedHandoff:
             raw = raw[:-20000] + b"\xff" + raw[-20000:]
             offset = raw.index(b"\xff")
             errors = []
-            for keep_papers in (False, True):
+            for data in (raw, quote_header(raw)):
                 caplog.clear()
                 with caplog.at_level(logging.INFO, logger="volatix.ingest"):
                     with pytest.raises(MalformedRowError) as exc:
-                        parse_paper_level(io.BytesIO(raw), keep_papers=keep_papers)
+                        parse_paper_level(io.BytesIO(data))
                 errors.append((str(exc.value), exc.value.line, warned_lines(caplog)))
-            assert errors[0] == errors[1]
             line = raw.count(b"\n", 0, offset) + 1
-            assert errors[0][:2] == (
-                f"invalid UTF-8 byte 0xff at offset {offset} (line {line})", line
-            )
-            assert errors[0][2] == ([len(lines) + 2] if odd else [])
+            warned = [len(lines) + 2] if odd else []
+            message = "invalid UTF-8 byte 0xff at offset {} (line %d)" % line
+            assert errors[0] == (message.format(offset), line, warned)
+            # the quoted header adds two bytes before the invalid one
+            assert errors[1] == (message.format(offset + 2), line, warned)
 
     @pytest.mark.parametrize("chunk", [32, 64, 100])
     def test_rows_before_an_invalid_byte_come_first(self, monkeypatch, chunk):
@@ -385,9 +392,9 @@ class TestChunkedHandoff:
         end = raw.index(b"\n", raw.index(b"LAST")) + 1
         for at in range(end, len(raw) + 1):
             bad = raw[:at] + b"\xff" + raw[at:]
-            for keep_papers in (False, True):
+            for data in (bad, quote_header(bad)):
                 with pytest.raises(MalformedRowError, match="expected 5 fields") as exc:
-                    parse_paper_level(io.BytesIO(bad), keep_papers=keep_papers)
+                    parse_paper_level(io.BytesIO(data))
                 assert exc.value.line == 7
 
     def test_byte_order_mark_inside_data_is_kept(self, caplog):
@@ -564,3 +571,64 @@ class TestSerialization:
         assert agg_corpus.provenance.schema == "journals"
         assert paper_corpus.provenance.schema == "papers"
         assert paper_corpus.journals["QJ-A"].total_citations == 5
+
+
+class TestAtomicOut:
+    """A path given to the writers is replaced only once every row is written."""
+
+    @staticmethod
+    def failing_rows(exc):
+        yield ["a", 1]
+        raise exc
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, exc):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes\n")
+        with pytest.raises(type(exc)):
+            ingest.write_csv(out, ["h", "n"], self.failing_rows(exc))
+        assert out.read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_write_leaves_no_new_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            ingest.write_csv(tmp_path / "new.csv", ["h", "n"], self.failing_rows(RuntimeError()))
+        assert os.listdir(tmp_path) == []
+
+    def test_modes(self, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"old\n")
+        old.chmod(0o640)
+        umask = os.umask(0o027)
+        try:
+            ingest.write_csv(old, ["h"], [[1]])
+            ingest.write_csv(tmp_path / "new.csv", ["h"], [[1]])
+        finally:
+            os.umask(umask)
+        assert old.read_bytes() == b"h\n1\n"
+        assert old.stat().st_mode & 0o777 == 0o640
+        assert (tmp_path / "new.csv").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "target.csv"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        ingest.write_json(link, {"a": 1})
+        assert link.is_symlink()
+        assert target.read_bytes() == b'{\n  "a": 1\n}\n'
+        assert sorted(os.listdir(tmp_path / "data")) == ["target.csv"]
+
+    def test_dev_stdout_is_written_in_place(self, absolute_fixture, tmp_path):
+        argv = [sys.executable, "-m", "volatix", "rank", str(absolute_fixture)]
+        expected = subprocess.run(argv, capture_output=True, check=True).stdout
+        argv += ["--out", "/dev/stdout"]
+        assert subprocess.run(argv, capture_output=True, check=True).stdout == expected
+        # stdout redirected to a regular file: that file, not a replacement
+        path = tmp_path / "stdout.csv"
+        with open(path, "wb") as stdout:
+            inode = os.fstat(stdout.fileno()).st_ino
+            subprocess.run(argv, stdout=stdout, check=True)
+        assert (path.stat().st_ino, path.read_bytes()) == (inode, expected)
+

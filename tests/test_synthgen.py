@@ -7,6 +7,7 @@ import pytest
 
 from volatix.analytics import volatility_reports
 from volatix.errors import ConfigError
+from volatix.metrics import MAX_CITATIONS
 from volatix.synthgen import (
     DiscreteLognormal,
     FixedSizes,
@@ -58,6 +59,26 @@ class TestConfig:
             lambda: ZipfTruncated(alpha=2.0, c_max=0),
             lambda: small_config(n_journals=0),
             lambda: small_config(seed=-1),
+            # integers are integers, not floats, strings or bools
+            lambda: small_config(n_journals=2.7),
+            lambda: small_config(n_journals="abc"),
+            lambda: small_config(seed=1.9),
+            lambda: small_config(seed=True),
+            lambda: FixedSizes(3.5),
+            lambda: LogUniformSizes(2, 10.0),
+            lambda: ZipfTruncated(alpha=2.0, c_max=1e20),
+            # reals are finite numbers
+            lambda: DiscreteLognormal(mu=float("nan"), sigma=1.0),
+            lambda: DiscreteLognormal(mu="x", sigma=1.0),
+            lambda: DiscreteLognormal(mu=0.5, sigma=float("inf")),
+            lambda: DiscreteLognormal(mu=False, sigma=1.0),
+            lambda: ZipfTruncated(alpha=float("inf"), c_max=10),
+            # zipf draws must be counts that ingest accepts
+            lambda: ZipfTruncated(alpha=2.0, c_max=MAX_CITATIONS + 1),
+            # the same through from_dict, and a model spec that is not an object
+            lambda: SynthConfig.from_dict({**small_config().as_dict(), "n_journals": "abc"}),
+            lambda: SynthConfig.from_dict({**small_config().as_dict(), "seed": 1.9}),
+            lambda: SynthConfig.from_dict({**small_config().as_dict(), "size_model": "ab"}),
         ],
     )
     def test_invalid_configs_rejected(self, bad):

@@ -40,35 +40,31 @@ def _parse_cuts(text: str, key: analytics.RankKey) -> list[Fraction]:
 
 
 def _load_reports(path: str):
-    corpus, log = ingest.load_corpus(path)
+    corpus, _ = ingest.load_corpus(path)
     reports, excluded = analytics.volatility_reports(corpus)
     if excluded:
         payload = [{"journal_id": e.journal_id, "reason": e.reason} for e in excluded]
         print(json.dumps({"excluded": payload}), file=sys.stderr)
-    return corpus, reports
+    return reports
 
 
 def cmd_ingest(args) -> int:
-    if args.schema == "papers":
-        corpus, log = ingest.parse_paper_level(args.input)
-    elif args.schema == "journals":
-        corpus, log = ingest.parse_aggregate(args.input)
-    else:
-        corpus, log = ingest.load_corpus(args.input)
+    parsers = {"papers": ingest.parse_paper_level, "journals": ingest.parse_aggregate}
+    corpus, log = parsers.get(args.schema, ingest.load_corpus)(args.input)
     print(log.to_json(), file=sys.stderr)
     ingest.write_journals_csv(corpus, args.out or sys.stdout)
     return 0
 
 
 def cmd_report(args) -> int:
-    _, reports = _load_reports(args.corpus)
+    reports = _load_reports(args.corpus)
     write = getattr(analytics, f"write_reports_{args.format}")
     write(reports, args.out or sys.stdout, exact=args.exact)
     return 0
 
 
 def cmd_rank(args) -> int:
-    _, reports = _load_reports(args.corpus)
+    reports = _load_reports(args.corpus)
     table = analytics.rank_by_volatility(reports, KEYS[args.key], args.top)
     write = getattr(analytics, f"write_ranked_{args.format}")
     write(table, args.out or sys.stdout, exact=args.exact)
@@ -83,7 +79,7 @@ def cmd_thresholds(args) -> int:
         cuts = list(analytics.DEFAULT_ABSOLUTE_CUTS)
     else:
         cuts = list(analytics.DEFAULT_RELATIVE_CUTS)
-    _, reports = _load_reports(args.corpus)
+    reports = _load_reports(args.corpus)
     table = analytics.threshold_table(reports, key, cuts)
     write = getattr(analytics, f"write_thresholds_{args.format}")
     write(table, args.out or sys.stdout, exact=args.exact)
@@ -137,7 +133,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    _, reports = _load_reports(args.corpus)
+    reports = _load_reports(args.corpus)
     points = analytics.scatter_data(reports)
     analytics.write_scatter_csv(points, args.out or sys.stdout)
     return 0

@@ -14,6 +14,12 @@ escaping, mandatory header, LF or CRLF):
 
       journal_id,journal_name,total_citations,n_2y,top_paper_citations
 
+The header decides the schema.  :func:`load_corpus` and the two parsers share
+one entry that opens the input once and reads it once: a header that names a
+schema other than the one asked for raises ``bad header``, one of neither
+schema raises ``unrecognized header``, and an empty input is an empty corpus
+when a schema is named.
+
 Parsing is a single pass with memory proportional to the number of journals,
 never the number of rows.  Cleaning mirrors the usual report hygiene:
 duplicate journal ids are collapsed (first occurrence wins), journals with
@@ -26,8 +32,9 @@ citations_removed``).
 Structurally unreadable rows (wrong arity, counts that are not ASCII digits
 with an optional leading ``-``, a field over ``csv.field_size_limit()``) raise
 :class:`~volatix.errors.MalformedRowError` with the line number; rows that are
-readable but invalid (negative counts, unknown item types, violated count
-invariants) are rejected and logged instead.
+readable but invalid (negative counts, counts or an ``n_2y`` above
+MAX_CITATIONS, unknown item types, violated count invariants) are rejected and
+logged instead.
 
 Every byte of an input file is read once, through one reader that hashes it
 for the provenance digest and checks that it is UTF-8.  Every row wholly
@@ -80,6 +87,7 @@ AGGREGATE_HEADER = [
     "n_2y",
     "top_paper_citations",
 ]
+_HEADERS = {"papers": PAPER_HEADER, "journals": AGGREGATE_HEADER}
 
 Source = Union[str, Path, BinaryIO]
 
@@ -94,12 +102,12 @@ class CleaningLog:
 
         citations_read == citations_kept + citations_removed
 
-    where "read" covers every row whose citation value parsed to an in-range
-    non-negative integer, "kept" is the sum over journals in the returned
+    where "read" covers every row whose counts parsed to in-range
+    non-negative integers, "kept" is the sum over journals in the returned
     corpus, and "removed" accounts for front-matter rows, rejected rows,
-    collapsed duplicates and filtered journals.  Rows whose citation value was
-    invalid (negative, above the 2^31 - 1 cap) appear only in
-    ``rows_rejected``.
+    collapsed duplicates and filtered journals.  Rows with a count out of
+    range (a negative citation count, or a citation count or ``n_2y`` above
+    the 2^31 - 1 cap) appear only in ``rows_rejected``.
     """
 
     duplicates_removed: int = 0
@@ -205,17 +213,6 @@ class _InputReader(io.RawIOBase):
         return bool(data)
 
 
-def _open_binary(source: Source):
-    """Return ``(binary stream, close)`` for a path or an open binary stream.
-
-    ``close`` closes only what this function opened.
-    """
-    if isinstance(source, (str, Path)):
-        raw = open(source, "rb")
-        return raw, raw.close
-    return source, lambda: None
-
-
 def _csv_rows(reader: _InputReader, at_start: bool = True):
     """A csv.reader over what ``reader`` serves; a BOM is dropped only at the
     start of the input."""
@@ -235,16 +232,22 @@ def _csv_errors(rows, first_line: int = 0):
         raise MalformedRowError(str(exc), first_line + rows.line_num) from None
 
 
-def _check_header(rows, expected: list[str]) -> bool:
-    """Validate the header row; returns False on a completely empty source."""
+def _read_schema(rows, expected: Optional[str] = None) -> str:
+    """Read the header row and return its schema, 'papers' or 'journals'.
+
+    With ``expected`` named, any other header raises ``bad header``, and an
+    empty input is that schema with no rows; otherwise a header of neither
+    schema, or none, raises ``unrecognized header``.
+    """
     header = next(rows, None)
-    if header is None:
-        return False
-    if header != expected:
+    found = next((name for name, cols in _HEADERS.items() if header == cols), None)
+    if expected is None and found is None:
+        raise MalformedRowError(f"unrecognized header {header!r}", line=1)
+    if expected is not None and header is not None and found != expected:
         raise MalformedRowError(
-            f"bad header {header!r}, expected {expected!r}", line=1
+            f"bad header {header!r}, expected {_HEADERS[expected]!r}", line=1
         )
-    return True
+    return found or expected
 
 
 def _parse_count(value: str, line: int, column: str) -> int:
@@ -507,36 +510,7 @@ def parse_paper_level(source: Source):
     ``csv`` from line 1 (see the module docstring).  Results, errors and
     warnings are the same either way.
     """
-    raw, close = _open_binary(source)
-    reader = _InputReader(raw)
-    log = CleaningLog()
-    # journal_id -> [name, total, top, n_citable]
-    acc: dict[str, list] = {}
-    try:
-        rows, lines = _parse_plain_prefix(reader, acc, log)
-        with _csv_errors(rows, lines):
-            if lines or _check_header(rows, PAPER_HEADER):
-                _parse_paper_rows(rows, lines, acc, log)
-    finally:
-        close()
-
-    journals: dict[str, JournalAggregate] = {}
-    for journal_id, (name, total, top, n) in acc.items():
-        if n == 0 or total == 0:
-            # no citable output, or none of it cited: the zero/NA analogue
-            log.zero_or_na_removed += 1
-            log.citations_removed += total
-            logger.info("journal %r removed: zero or no citable output", journal_id)
-            continue
-        if n == 1:
-            log.singletons_excluded += 1
-        journals[journal_id] = JournalAggregate(journal_id, name, total, n, top)
-        log.citations_kept += total
-    log.journals_kept = len(journals)
-    corpus = Corpus(
-        journals=journals, provenance=Provenance(reader.hasher.hexdigest(), "papers")
-    )
-    return corpus, log
+    return _parse(source, "papers")
 
 
 def _iter_aggregate_rows(rows, log: CleaningLog) -> Iterator[JournalAggregate]:
@@ -550,9 +524,11 @@ def _iter_aggregate_rows(rows, log: CleaningLog) -> Iterator[JournalAggregate]:
         n_2y = _parse_count(n_text, line, "n_2y")
         top = _parse_count(top_text, line, "top_paper_citations")
         log.rows_read += 1
-        if not 0 <= total <= MAX_CITATIONS or not 0 <= top <= MAX_CITATIONS:
+        bad_citations = not (0 <= total <= MAX_CITATIONS and 0 <= top <= MAX_CITATIONS)
+        if bad_citations or n_2y > MAX_CITATIONS:
             log.rows_rejected += 1
-            logger.warning("line %d: citation count out of range, row rejected", line)
+            field = "citation count" if bad_citations else "n_2y"
+            logger.warning("line %d: %s out of range, row rejected", line, field)
             continue
         log.citations_read += total
         try:
@@ -571,24 +547,49 @@ def parse_aggregate(source: Source):
     duplicate journal ids and zero-citation journals are then removed exactly
     as :func:`dedupe_and_filter` does.
     """
-    raw, close = _open_binary(source)
-    reader = _InputReader(raw)
+    return _parse(source, "journals")
+
+
+def _parse(source: Source, schema: Optional[str] = None):
+    """Parse ``source`` as ``schema``, or as its header says when ``schema``
+    is None; returns ``(Corpus, CleaningLog)``.
+
+    The input is opened once and read once, through one _InputReader.  An
+    exact plain Schema-A header sends it to the chunked stage, unless
+    ``schema`` is 'journals'; ``csv`` reads any other header, and the rows
+    after it, from line 1.
+    """
     log = CleaningLog()
-    try:
-        rows = _csv_rows(reader)
-        journals: dict[str, JournalAggregate] = {}
-        seen: set[str] = set()
-        with _csv_errors(rows):
-            if _check_header(rows, AGGREGATE_HEADER):
+    journals: dict[str, JournalAggregate] = {}
+    acc: dict[str, list] = {}  # Schema A: journal_id -> [name, total, top, n_citable]
+    is_path = isinstance(source, (str, Path))
+    with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
+        reader = _InputReader(raw)
+        if schema == "journals":
+            rows, lines = _csv_rows(reader), 0
+        else:
+            rows, lines = _parse_plain_prefix(reader, acc, log)
+        with _csv_errors(rows, lines):
+            schema = "papers" if lines else _read_schema(rows, schema)
+            if schema == "papers":
+                _parse_paper_rows(rows, lines, acc, log)
+            else:
+                seen: set[str] = set()
                 for agg in _iter_aggregate_rows(rows, log):
                     _clean_into(journals, seen, agg, log)
-    finally:
-        close()
+    for journal_id, (name, total, top, n) in acc.items():
+        if total == 0:
+            # no citable output (n == 0), or none of it cited: the zero/NA analogue
+            log.zero_or_na_removed += 1
+            logger.info("journal %r removed: zero or no citable output", journal_id)
+            continue
+        if n == 1:
+            log.singletons_excluded += 1
+        journals[journal_id] = JournalAggregate(journal_id, name, total, n, top)
+        log.citations_kept += total
     log.journals_kept = len(journals)
-    corpus = Corpus(
-        journals=journals, provenance=Provenance(reader.hasher.hexdigest(), "journals")
-    )
-    return corpus, log
+    provenance = Provenance(reader.hasher.hexdigest(), schema)
+    return Corpus(journals=journals, provenance=provenance), log
 
 
 def _clean_into(
@@ -726,17 +727,9 @@ def sniff_schema(path: Union[str, Path]) -> str:
     with open(path, "rb") as fh:
         rows = _csv_rows(_InputReader(fh))
         with _csv_errors(rows):
-            header = next(rows, None)
-    if header == PAPER_HEADER:
-        return "papers"
-    if header == AGGREGATE_HEADER:
-        return "journals"
-    raise MalformedRowError(f"unrecognized header {header!r}", line=1)
+            return _read_schema(rows)
 
 
 def load_corpus(path: Union[str, Path]):
     """Parse either schema by sniffing the header; returns (Corpus, CleaningLog)."""
-    schema = sniff_schema(path)
-    if schema == "papers":
-        return parse_paper_level(path)
-    return parse_aggregate(path)
+    return _parse(path)

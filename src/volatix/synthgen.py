@@ -22,7 +22,8 @@ Citation models:
 
 * ``discrete_lognormal(mu, sigma)``: floor(exp(Normal(mu, sigma))), support
   {0, 1, ...}; its exact mean is the series sum_{k>=1} P(X >= k).
-* ``zipf(alpha, c_max)``: P(k) proportional to k**-alpha on {1..c_max}.
+* ``zipf(alpha, c_max)``: P(k) proportional to k**-alpha on {1..c_max},
+  c_max at most ZIPF_MAX_C_MAX (10**7); its table is built once per model.
 
 Size models: ``log_uniform(min, max)`` (roughly 1/n frequency over the
 integer range) and ``fixed(n)``.  The default corpus configuration uses
@@ -32,6 +33,7 @@ of at most 500.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -46,6 +48,10 @@ import numpy as np
 from .errors import ConfigError
 from .ingest import PAPER_HEADER, Corpus, Provenance, write_csv
 from .metrics import MAX_CITATIONS, ItemType, JournalAggregate, PaperRecord
+
+# The largest zipf c_max: its table is two float64 arrays of c_max values,
+# 160 MB at this size.
+ZIPF_MAX_C_MAX = 10**7
 
 
 def _check_ints(model, *names: str) -> None:
@@ -170,30 +176,32 @@ class ZipfTruncated:
         _check_ints(self, "c_max")
         if not self.alpha > 1:
             raise ConfigError(f"zipf alpha must be > 1, got {self.alpha}")
-        if not 1 <= self.c_max <= MAX_CITATIONS:
+        if not 1 <= self.c_max <= ZIPF_MAX_C_MAX:
             raise ConfigError(
-                f"zipf c_max must be between 1 and {MAX_CITATIONS}, got {self.c_max}"
+                f"zipf c_max must be between 1 and {ZIPF_MAX_C_MAX}, got {self.c_max}"
             )
 
-    def _weights(self) -> np.ndarray:
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """P(k) and its cumulative sum for k in 1..c_max, built once per model."""
         k = np.arange(1, self.c_max + 1, dtype=np.float64)
         w = k**-self.alpha
-        return w / w.sum()
+        w /= w.sum()
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        return w, cdf
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        cdf = np.cumsum(self._weights())
-        cdf[-1] = 1.0
         u = gen.random(n)
-        return (np.searchsorted(cdf, u, side="right") + 1).astype(np.int64)
+        return (np.searchsorted(self._table[1], u, side="right") + 1).astype(np.int64)
 
     def mean(self) -> float:
-        w = self._weights()
         k = np.arange(1, self.c_max + 1, dtype=np.float64)
-        return float((k * w).sum())
+        return float((k * self._table[0]).sum())
 
     def variance(self) -> float:
-        w = self._weights()
         k = np.arange(1, self.c_max + 1, dtype=np.float64)
+        w = self._table[0]
         m = float((k * w).sum())
         return float((k * k * w).sum()) - m * m
 

@@ -455,6 +455,23 @@ def test_number_too_long_to_print_is_one_line_error(capsys, data_dir, argv, mess
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["report", "--format", "json", "--exact"], ["rank", "--exact"]], ids=["report", "rank"]
+)
+def test_n_2y_above_cap_is_a_rejected_row(capsys, caplog, tmp_path, argv):
+    # a 3000-digit n_2y would give exact values too long to print
+    path = tmp_path / "journals.csv"
+    path.write_text(
+        "journal_id,journal_name,total_citations,n_2y,top_paper_citations\n"
+        f"A,Alpha,10,4,6\nB,Big,7,{'9' * 3000},4\n"
+    )
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    rows = json.loads(out) if "json" in argv else list(csv.DictReader(io.StringIO(out)))
+    assert [row["journal_id"] for row in rows] == ["A"]
+    assert [r.getMessage() for r in caplog.records] == ["line 3: n_2y out of range, row rejected"]
+
+
 def test_module_entry_point_subprocess(absolute_fixture):
     proc = subprocess.run(
         [sys.executable, "-m", "volatix", "rank", str(absolute_fixture), "--top", "1"],

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from volatix import ingest
 from volatix.errors import MalformedRowError
 from volatix.ingest import (
+    AGGREGATE_HEADER,
     PAPER_HEADER,
     CleaningLog,
     dedupe_and_filter,
@@ -445,6 +446,8 @@ class TestParseAggregate:
         corpus, log = parse_aggregate(io.BytesIO(b""))
         assert len(corpus.journals) == 0
         assert log == CleaningLog()
+        corpus, log = parse_paper_level(io.BytesIO(b""))
+        assert (len(corpus), log, corpus.provenance.schema) == (0, CleaningLog(), "papers")
 
     def test_header_only(self):
         corpus, log = parse_aggregate(journals_csv([]))
@@ -469,6 +472,16 @@ class TestParseAggregate:
     def test_wrong_header_raises(self):
         with pytest.raises(MalformedRowError):
             parse_aggregate(io.BytesIO(b"a,b,c\n1,2,3\n"))
+
+    @pytest.mark.parametrize("n_2y", [MAX_CITATIONS + 1, 10**2999], ids=["cap+1", "3000-digits"])
+    def test_n_2y_above_cap_rejected(self, n_2y, caplog):
+        rows = [("J", "Journal J", 10, 5, 6), ("B", "Big", 7, n_2y, 4), ("K", "K", 9, MAX_CITATIONS, 4)]
+        with caplog.at_level(logging.WARNING, logger="volatix.ingest"):
+            corpus, log = parse_aggregate(journals_csv(rows))
+        assert list(corpus.journals) == ["J", "K"]
+        assert (log.rows_read, log.rows_rejected) == (3, 1)
+        assert [r.getMessage() for r in caplog.records] == ["line 3: n_2y out of range, row rejected"]
+        assert log.citations_read == log.citations_kept + log.citations_removed == 19
 
 
 class TestDedupeAndFilter:
@@ -564,6 +577,17 @@ class TestSerialization:
         bad.write_text("x,y\n")
         with pytest.raises(MalformedRowError):
             sniff_schema(bad)
+        # load_corpus decides the same way: an empty file or an invalid byte in
+        # the header raises what sniff_schema raises
+        for raw, message in [
+            (b"", "unrecognized header None"),
+            (b"journal_id,journal_n\xe4me,n_2y\n", "invalid UTF-8 byte 0xe4 at offset 20"),
+        ]:
+            bad.write_bytes(raw)
+            for read in (sniff_schema, load_corpus):
+                with pytest.raises(MalformedRowError) as exc:
+                    read(bad)
+                assert (str(exc.value), exc.value.line) == (f"{message} (line 1)", 1)
 
     def test_load_corpus_both_schemas(self, absolute_fixture, papers_sample):
         agg_corpus, _ = load_corpus(absolute_fixture)
@@ -571,6 +595,34 @@ class TestSerialization:
         assert agg_corpus.provenance.schema == "journals"
         assert paper_corpus.provenance.schema == "papers"
         assert paper_corpus.journals["QJ-A"].total_citations == 5
+        # a named schema refuses the other's header, a plain Schema-A one included
+        for parse, path, header, expected in [
+            (parse_aggregate, papers_sample, PAPER_HEADER, AGGREGATE_HEADER),
+            (parse_paper_level, absolute_fixture, AGGREGATE_HEADER, PAPER_HEADER),
+        ]:
+            with pytest.raises(MalformedRowError) as exc:
+                parse(path)
+            assert str(exc.value) == f"bad header {header!r}, expected {expected!r} (line 1)"
+
+    @pytest.mark.parametrize("fixture", ["absolute_fixture", "papers_sample"])
+    def test_load_corpus_opens_its_input_once(self, fixture, request, monkeypatch):
+        opened, readers = [], []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        class CountingReader(ingest._InputReader):
+            def __init__(self, raw):
+                readers.append(raw)
+                super().__init__(raw)
+
+        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        monkeypatch.setattr(ingest, "_InputReader", CountingReader)
+        path = request.getfixturevalue(fixture)
+        corpus, _ = load_corpus(path)
+        assert (opened, len(readers)) == ([path], 1)
+        assert corpus.provenance.digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestAtomicOut:

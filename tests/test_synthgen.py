@@ -9,6 +9,7 @@ from volatix.analytics import volatility_reports
 from volatix.errors import ConfigError
 from volatix.metrics import MAX_CITATIONS
 from volatix.synthgen import (
+    ZIPF_MAX_C_MAX,
     DiscreteLognormal,
     FixedSizes,
     LogUniformSizes,
@@ -79,11 +80,17 @@ class TestConfig:
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "n_journals": "abc"}),
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "seed": 1.9}),
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "size_model": "ab"}),
+            # the zipf table must fit in memory
+            lambda: ZipfTruncated(alpha=2.0, c_max=ZIPF_MAX_C_MAX + 1),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             bad()
+
+    def test_zipf_table_is_built_on_first_draw(self):
+        model = ZipfTruncated(alpha=2.0, c_max=ZIPF_MAX_C_MAX)
+        assert "_table" not in vars(model)
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -179,6 +186,33 @@ class TestGeneration:
         )
         assert counts.min() >= 1
         assert counts.max() <= 50
+
+
+class TestZipfTable:
+    def test_built_once_per_model(self, monkeypatch):
+        builds = []
+        cumsum = np.cumsum
+
+        def counting_cumsum(*args, **kwargs):
+            builds.append(1)
+            return cumsum(*args, **kwargs)
+
+        model = ZipfTruncated(alpha=1.7, c_max=1000)
+        config = SynthConfig(n_journals=200, size_model=FixedSizes(5), citation_model=model, seed=9)
+        monkeypatch.setattr(np, "cumsum", counting_cumsum)
+        draws = [journal_citations(config, j, 5) for j in range(200)]
+        model.mean(), model.variance()
+        monkeypatch.undo()
+        assert len(builds) == 1
+        # the draws are those of a table built per journal
+        k = np.arange(1, 1001, dtype=np.float64)
+        w = k**-1.7
+        cdf = np.cumsum(w / w.sum())
+        cdf[-1] = 1.0
+        for j, got in enumerate(draws):
+            seq = np.random.SeedSequence(9, spawn_key=(1, j))
+            u = np.random.Generator(np.random.PCG64(seq)).random(5)
+            assert got.tolist() == (np.searchsorted(cdf, u, side="right") + 1).tolist()
 
 
 class TestModelSanity:

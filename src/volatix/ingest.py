@@ -43,22 +43,25 @@ before the first invalid byte is parsed, and then the parse raises
 the byte's 0-based offset in the file.
 
 Schema A is parsed in two stages, and only the input picks between them.
-After a header spelled exactly as PAPER_HEADER, plain lines (unquoted, five
-fields, an exactly spelled item type and 1-10 ASCII digits of in-range
-citations) are parsed with numpy in chunks of about 128 KiB, with Python work
-per run of lines sharing a ``journal_id`` rather than per row.  From the
-first line that is not plain (a quote, a blank line, a bad field, a rejected
-row, anything else) the ``csv`` module takes the rest of the file, continuing
-the same counters, hash and line numbers, so every error and warning comes
-from the ``csv`` row loop.  The handoff happens once; quoted input goes
-through ``csv`` from its first quoted line, and a header that only ``csv``
-reads (a quoted one, say) sends the whole file there.  The acceptance gate
-times this parse of a million rows with ``tracemalloc`` on, which charges
-every Python object, so the chunked stage is what keeps it within its bound.
+After a header spelled exactly as PAPER_HEADER, the input is read in chunks
+of about 128 KiB, and numpy parses the lines of each.  A plain line (five
+fields, a journal_id of at most 64 bytes, an item type spelled exactly, 1-10
+ASCII digits of in-range citations, and no quote but an optional pair around
+the whole name) is added
+into per-journal numpy arrays, so Python work is per new journal rather than
+per row.  Any other record (a blank line, a bad field, a rejected row, a
+quote elsewhere, a quoted field spanning lines) goes through the ``csv`` row
+loop on its own, in line order, with the same counters and line numbers, so
+every error and warning comes from that loop; then the chunked stage goes on
+after it.  A header that only ``csv`` reads (a quoted one, say) sends the
+whole file there.  The acceptance gate times this parse of a million rows
+with ``tracemalloc`` on, which charges every Python object, so the chunked
+stage is what keeps it within its bound.
 """
 
 from __future__ import annotations
 
+import bisect
 import codecs
 import contextlib
 import csv
@@ -67,6 +70,7 @@ import io
 import json
 import logging
 import os
+import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -266,19 +270,147 @@ def _parse_count(value: str, line: int, column: str) -> int:
 # Bytes per read of the chunked Schema-A parse.  Its numpy temporaries are a
 # few times this, so it is kept small next to the CLI's resident memory.
 _CHUNK_BYTES = 128 * 1024
+# The longest journal_id of a plain line, so that no key is wider.
+_MAX_ID_BYTES = 64
 _PAPER_HEADER_LINES = tuple(
     ",".join(PAPER_HEADER).encode("ascii") + end for end in (b"\n", b"\r\n")
 )
 _ITEM_TYPES = tuple((kind.value.encode("ascii"), kind.citable) for kind in ItemType)
 _MAX_DIGITS = len(str(MAX_CITATIONS))
 _DIGIT_WEIGHTS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
-_LF, _CR, _COMMA, _ZERO = b"\n\r,0"
+_LF, _CR, _COMMA, _QUOTE, _ZERO = b'\n\r,"0'
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8")  # the first n bytes
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
-def _first(mask) -> int:
-    """Index of the first True in ``mask``, or its length if there is none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else mask.size
+class _Lines:
+    """The input after a Schema-A header, read into one buffer that the chunked
+    stage takes plain lines from, at ``pos``.
+
+    Iterating serves csv the line at ``pos`` and moves past it.  A line ends
+    at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in a text stream opened with
+    ``newline=""``, so csv reads the lines a read of the whole input gives it.
+    """
+
+    def __init__(self, reader: _InputReader, data: bytes, pos: int):
+        self.reader, self.data, self.pos = reader, data, pos
+
+    def more(self, size: int) -> bool:
+        """Read up to ``size`` more bytes, dropping those before ``pos``; False
+        at the end of the input."""
+        block = self.reader.read(size)
+        self.data, self.pos = self.data[self.pos :] + block, 0
+        return bool(block)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        while True:
+            end = _LINE_END.search(self.data, self.pos)
+            # a "\r" at the end of the buffer may be the start of "\r\n"
+            if end and (end.end() < len(self.data) or end.group() != b"\r"):
+                stop = end.end()
+                break
+            if not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
+                stop = len(self.data)
+                break
+        if stop == self.pos:
+            raise StopIteration
+        line, self.pos = self.data[self.pos : stop].decode("utf-8"), stop
+        return line
+
+
+class _Records:
+    """The records of the csv.reader ``rows`` over ``src`` that start before
+    offset ``end`` of its buffer, as a csv.reader.  A read into a new buffer
+    (see _Lines.more) moves the offsets, and ends the records too."""
+
+    def __init__(self, rows, src: _Lines, end: int):
+        self._rows, self._src, self._data, self._end = rows, src, src.data, end
+
+    def __iter__(self):
+        while self._src.data is self._data and self._src.pos < self._end:
+            row = next(self._rows, None)
+            if row is None:
+                return
+            yield row
+
+    @property
+    def line_num(self) -> int:
+        return self._rows.line_num
+
+
+def _csv_records(rows, src: _Lines, end: int, first_line: int, acc: dict, log) -> None:
+    """Parse the records of ``rows`` that start before offset ``end`` of
+    ``src.data`` with the csv row loop."""
+    with _csv_errors(rows, first_line):
+        _parse_paper_rows(_Records(rows, src, end), first_line, acc, log)
+
+
+class _Slots:
+    """Citable totals, tops and counts of the lines the chunked stage takes,
+    in int64 arrays indexed by journal slot.
+
+    A sorted index per key type (see _id_keys) maps keys to slots.  A key not
+    in it costs Python work once: :meth:`slot` gives its journal_id's slot,
+    or a new one.  A new journal enters ``acc``, the row loop's journal_id ->
+    [name, total, top, n_citable], unless the row loop put it there first;
+    :meth:`fold` adds the arrays into ``acc`` at the end.
+    """
+
+    def __init__(self, acc: dict):
+        self.acc = acc
+        self.slots: dict[str, int] = {}  # journal_id -> slot
+        # key dtype kind -> (sorted keys, their slots)
+        self.index = {np.dtype(t).kind: (np.zeros(0, t), np.zeros(0, np.intp)) for t in ("<u8", "S1")}
+        self.sums = np.zeros((3, 64), dtype=np.int64)  # total, top, n_citable
+
+    def lookup(self, keys):
+        """The slot of each key, -1 for a key not in the index."""
+        known, slots = self.index[keys.dtype.kind]
+        at = np.searchsorted(known, keys)
+        found = at < len(known)
+        found[found] = known[at[found]] == keys[found]
+        out = np.full(len(keys), -1, dtype=np.intp)
+        out[found] = slots[at[found]]
+        return out
+
+    def insert(self, keys, slots) -> None:
+        """Index ``keys``, sorted and new to the index, at ``slots``."""
+        known, known_slots = self.index[keys.dtype.kind]
+        at = np.searchsorted(known, keys)
+        known = known.astype(np.promote_types(known.dtype, keys.dtype), copy=False)
+        self.index[keys.dtype.kind] = np.insert(known, at, keys), np.insert(known_slots, at, slots)
+
+    def slot(self, journal_id: str, name: str) -> int:
+        """The slot of ``journal_id``; a new journal is named ``name``."""
+        slot = self.slots.get(journal_id)
+        if slot is None:
+            slot = self.slots[journal_id] = len(self.slots)
+            self.acc.setdefault(journal_id, [name, 0, 0, 0])
+            if slot == self.sums.shape[1]:
+                self.sums = np.concatenate((self.sums, np.zeros_like(self.sums)), axis=1)
+        return slot
+
+    def add(self, slots, heads, citations, citable, log: CleaningLog) -> None:
+        """Add lines that come in runs of one slot each, starting at ``heads``."""
+        kept = np.where(citable, citations, 0)
+        read = int(citations.sum())
+        log.rows_read += len(citations)
+        log.citations_read += read
+        log.citations_removed += read - int(kept.sum())
+        np.add.at(self.sums[0], slots, np.add.reduceat(kept, heads))
+        np.maximum.at(self.sums[1], slots, np.maximum.reduceat(kept, heads))
+        np.add.at(self.sums[2], slots, np.add.reduceat(citable, heads, dtype=np.int64))
+
+    def fold(self) -> None:
+        """Add the arrays into ``acc``."""
+        for journal_id, total, top, n in zip(self.slots, *self.sums.tolist()):
+            entry = self.acc[journal_id]
+            entry[1] += total
+            entry[2] = max(entry[2], top)
+            entry[3] += n
 
 
 # The chunked parse is split into small functions on purpose: under
@@ -287,72 +419,129 @@ def _first(mask) -> int:
 # costs more.
 
 
-def _take_plain_lines(data: bytes, acc: dict, log: CleaningLog) -> tuple[int, int]:
-    """Aggregate the leading plain Schema-A lines of ``data`` into ``acc``.
+class _Chunk:
+    """Whole Schema-A lines, each ending in ``\\n``, parsed with numpy.
 
-    ``data`` is whole lines of valid UTF-8, each ending in ``\\n``.  A plain
-    line has no ``"``, NUL or bare ``\\r``, is no longer than csv's field size
-    limit, and has five fields, an item type spelled exactly and 1-10 ASCII
-    digits of citations no larger than MAX_CITATIONS: a line that csv and the
-    row loop of :func:`_parse_paper_rows` take the same way, without a warning.
-    Stops before the first other line and returns the number of lines and of
-    bytes taken.
+    A plain line is one that csv and the row loop of :func:`_parse_paper_rows`
+    take the same way, without a warning (see _five_fields).  The chunk keeps
+    where each line ends, and for its plain lines, in runs of one key, their
+    counts and journal slots, found in the index or still to be given.
     """
-    b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(b == _LF)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    stops = ends - (b[ends - 1] == _CR)
-    fields = _five_field_lines(data, b, ends, starts, stops)
-    citations, citable = _citations_and_types(b, fields, stops)
-    n = len(citations)
-    if n == 0:
-        return 0, 0
-    starts, fields = starts[:n], fields[:n]
-    kept = np.where(citable, citations, 0)
-    read = int(citations.sum())
-    log.rows_read += n
-    log.citations_read += read
-    log.citations_removed += read - int(kept.sum())
-    run = _journal_runs(b, starts, fields[:, 0])
-    _add_runs(
-        data,
-        acc,
-        starts[run].tolist(),
-        fields[run, 0].tolist(),
-        fields[run, 1].tolist(),
-        np.add.reduceat(kept, run).tolist(),
-        np.maximum.reduceat(kept, run).tolist(),
-        np.add.reduceat(citable, run, dtype=np.int64).tolist(),
-    )
-    return n, int(ends[n - 1]) + 1
+
+    def __init__(self, data: bytes, table: _Slots):
+        self.data = data
+        b = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(b == _LF) + 1  # one past each line's end
+        starts = np.concatenate(([0], ends[:-1]))
+        lines, fields, quoted, self.citations, self.citable = _plain_lines(data, b, starts, ends)
+        self.lines, self.n_lines = lines, len(ends)
+        self.odd_runs = _odd_runs(lines, starts, ends)
+        keys = _id_keys(b, starts[lines], fields[:, 0])
+        run_start = np.ones(len(keys), dtype=bool)
+        run_start[1:] = keys[1:] != keys[:-1]
+        self.heads = np.flatnonzero(run_start)
+        self.slots = table.lookup(keys[self.heads])
+        # The runs whose key is not in the index; register finds their slots.
+        self.unknown = np.flatnonzero(self.slots < 0)  # into heads
+        at = self.heads[self.unknown]  # into lines
+        self.unknown_keys, self.unknown_lines = keys[at], lines[at].tolist()
+        id_end, quoted = fields[at, 0], quoted[at]
+        bounds = (starts[lines[at]], id_end, id_end + 1 + quoted, fields[at, 1] - quoted)
+        self.unknown_bounds = np.stack(bounds, axis=1).tolist()
+        self.unknown_slots: list[int] = []
+
+    def register(self, table: _Slots, before: int) -> None:
+        """Find the slots, in line order, of the runs whose key is not in the
+        index and that start before line ``before``."""
+        stop = bisect.bisect_left(self.unknown_lines, before)
+        for start, id_end, name_start, name_end in self.unknown_bounds[len(self.unknown_slots) : stop]:
+            journal_id = self.data[start:id_end].decode("utf-8")
+            name = self.data[name_start:name_end].decode("utf-8")
+            self.unknown_slots.append(table.slot(journal_id, name))
+
+    def add(self, table: _Slots, before: int, log: CleaningLog) -> int:
+        """Add the plain lines before line ``before`` into ``table``; returns
+        how many there are."""
+        self.register(table, before)
+        n = int(np.searchsorted(self.lines, before))
+        if n == 0:
+            return 0
+        if self.unknown_slots:
+            found = len(self.unknown_slots)
+            self.slots[self.unknown[:found]] = self.unknown_slots
+            keys, first = np.unique(self.unknown_keys[:found], return_index=True)
+            table.insert(keys, self.slots[self.unknown[first]])
+        runs = int(np.searchsorted(self.heads, n))
+        table.add(self.slots[:runs], self.heads[:runs], self.citations[:n], self.citable[:n], log)
+        return n
 
 
-def _five_field_lines(data: bytes, b, ends, starts, stops):
-    """Comma positions, shape (n, 4), of the leading lines of ``data`` that
-    are free of ``"``, NUL and bare ``\\r``, not blank, within csv's field
-    size limit and split into exactly five fields."""
-    cr = np.flatnonzero(b == _CR)
-    bare_cr = cr[b[cr + 1] != _LF]
-    first_bad = min(
-        (i for i in (data.find(b'"'), data.find(b"\0")) if i >= 0), default=len(data)
-    )
-    if bare_cr.size:
-        first_bad = min(first_bad, int(bare_cr[0]))
+def _odd_runs(lines, starts, ends) -> list:
+    """The runs of lines not in ``lines``: the first line of each, the offsets
+    where it starts and ends, and the number of ``lines`` before it."""
+    if len(lines) == len(ends):
+        return []
+    odd = np.ones(len(ends), dtype=bool)
+    odd[lines] = False
+    odd = np.flatnonzero(odd)
+    run = np.flatnonzero(np.diff(odd, prepend=-2) != 1)  # into odd
+    first, last = odd[run], odd[np.flatnonzero(np.diff(odd, append=len(ends) + 1) != 1)]
+    return list(zip(first.tolist(), starts[first].tolist(), ends[last].tolist(), (first - run).tolist()))
+
+
+def _plain_lines(data: bytes, b, starts, ends):
+    """The plain lines among those from ``starts`` to just before ``ends``:
+    their indices, fields and quoted flags (see _five_fields), citations and
+    citable flags."""
+    stops = ends - 1 - (b[ends - 2] == _CR)  # without the line break
+    lines, fields, quoted, plain = _five_fields(data, b, starts, ends, stops)
+    citations, citable, ok = _citations_and_types(b, fields, stops[lines])
+    found = lines, fields, quoted, citations, citable
+    ok &= plain
+    return found if ok.all() else tuple(array[ok] for array in found)
+
+
+def _five_fields(data: bytes, b, starts, ends, stops):
+    """The lines that have five fields at their first and last three commas:
+    their indices, those commas (shape (n, 4)), whether the name is quoted
+    and whether csv splits the line there too.
+
+    Such a line has no NUL or bare ``\\r``, is not blank and is no longer than
+    csv's field size limit.  csv splits it there, and it is kept, if it has a
+    journal_id of at most _MAX_ID_BYTES and either has four commas and no
+    ``"``, or its only two ``"`` quote the name: one is right after the first
+    comma and one right before the third-from-last comma, which is not the
+    first, so a comma in the name is part of it.
+    """
     commas = np.flatnonzero(b == _COMMA)
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    last = np.searchsorted(commas, ends)
+    first = np.concatenate(([0], last[:-1]))
     lengths = stops - starts
-    n = min(
-        int(np.searchsorted(ends, first_bad)),
-        _first((per_line != 4) | (lengths == 0) | (lengths > csv.field_size_limit())),
-    )
-    return commas[: 4 * n].reshape(n, 4)
+    ok = (last - first >= 4) & (lengths > 0) & (lengths <= csv.field_size_limit())
+    cr = np.flatnonzero(b == _CR)
+    ok[np.searchsorted(ends, cr[b[cr + 1] != _LF], side="right")] = False
+    if b"\0" in data:
+        ok[np.searchsorted(ends, np.flatnonzero(b == 0), side="right")] = False
+    lines = np.flatnonzero(ok)
+    first, last = first[lines], last[lines]
+    fields = commas[np.stack((first, last - 3, last - 2, last - 1), axis=1)]
+    plain = last - first == 4
+    quoted = np.zeros(len(lines), dtype=bool)
+    if b'"' in data:
+        quotes = np.diff(np.searchsorted(np.flatnonzero(b == _QUOTE), ends), prepend=0)[lines]
+        opening, closing = fields[:, 0] + 1, fields[:, 1] - 1
+        quoted = (quotes == 2) & (closing > opening)
+        quoted &= (b[opening] == _QUOTE) & (b[closing] == _QUOTE)
+        plain = quoted | plain & (quotes == 0)
+    plain &= fields[:, 0] - starts[lines] <= _MAX_ID_BYTES
+    return lines, fields, quoted, plain
 
 
 def _citations_and_types(b, fields, stops):
-    """Citations and citable flags of the leading lines whose item type is
-    spelled exactly and whose citations are 1-10 ASCII digits in range."""
+    """Citations and citable flags of lines split at ``fields``, and which of
+    them have an item type spelled exactly and 1-10 ASCII digits of citations
+    in range."""
     n = len(fields)
-    stops = stops[:n]
     # Item types: the length picks the candidate, then every byte must match.
     type_start = fields[:, 2] + 1
     type_len = fields[:, 3] - type_start
@@ -370,58 +559,58 @@ def _citations_and_types(b, fields, stops):
     digits = np.where(in_field, b[np.maximum(digit_pos, 0)] - _ZERO, 0)
     n_digits = stops - fields[:, 3] - 1
     citations = digits @ _DIGIT_WEIGHTS
-    plain = (
+    ok = (
         known
         & (n_digits >= 1)
         & (n_digits <= _MAX_DIGITS)
         & (digits <= 9).all(axis=1)
         & (citations <= MAX_CITATIONS)
     )
-    n = _first(~plain)
-    return citations[:n], citable[:n]
+    return citations, citable, ok
 
 
-def _journal_runs(b, starts, id_ends):
-    """Indices of the lines whose journal_id bytes differ from the line
-    before's; the first line always starts a run."""
-    id_len = id_ends - starts
-    cand = np.flatnonzero(id_len[1:] == id_len[:-1]) + 1
-    lens = id_len[cand]
-    offsets = np.cumsum(lens) - lens
-    flat = np.arange(int(lens.sum()))
-    here = np.repeat(starts[cand] - offsets, lens) + flat
-    before = np.repeat(starts[cand - 1] - offsets, lens) + flat
-    same = np.zeros(len(starts), dtype=bool)
-    same[cand] = True
-    same[np.repeat(cand, lens)[b[here] != b[before]]] = False
-    return np.flatnonzero(~same)
+def _id_keys(b, starts, ends):
+    """A key for each journal_id ``b[start:end]``: a uint64 if none is longer
+    than 8 bytes, else fixed-width ``S`` bytes.  Plain lines hold no NUL and
+    go on for at least 8 bytes from their start, so zeroing the bytes past
+    the id keeps the keys of different ids apart."""
+    lengths = ends - starts
+    width = int(lengths.max(initial=0))
+    if width <= 8:
+        return b[starts[:, None] + np.arange(8)].view("<u8")[:, 0] & _KEY_MASKS[lengths]
+    ids = b[np.minimum(starts[:, None] + np.arange(width), len(b) - 1)]
+    ids[np.arange(width) >= lengths[:, None]] = 0
+    return ids.view(f"S{width}")[:, 0]
 
 
-def _add_runs(data: bytes, acc: dict, starts, id_ends, name_ends, totals, tops, counts):
-    """Fold per-run citable sums, maxima and counts into ``acc``; a journal
-    first seen here takes the name on its run's first line."""
-    for start, id_end, name_end, total, top, count in zip(
-        starts, id_ends, name_ends, totals, tops, counts
-    ):
-        journal_id = data[start:id_end].decode("utf-8")
-        entry = acc.get(journal_id)
-        if entry is None:
-            name = data[id_end + 1 : name_end].decode("utf-8")
-            entry = acc[journal_id] = [name, 0, 0, 0]
-        entry[1] += total
-        if top > entry[2]:
-            entry[2] = top
-        entry[3] += count
+def _take_lines(src: _Lines, cut: int, rows, taken: int, table: _Slots, log) -> int:
+    """Take the lines of ``src.data[src.pos:cut]`` in order: plain ones into
+    ``table``, and each run of other lines through the csv row loop.
+
+    ``taken`` lines were taken with numpy before; returns that count now.  If
+    a quoted field goes on past a run, csv reads the rest of the lines too,
+    and ``src.pos`` ends past them, in ``src.data`` as it is then.
+    """
+    base, data = src.pos, src.data
+    chunk = _Chunk(data[base:cut], table)
+    for first, start, end, plain_before in chunk.odd_runs:
+        chunk.register(table, before=first)
+        src.pos = base + start
+        _csv_records(rows, src, base + end, taken + plain_before, table.acc, log)
+        if src.data is not data or src.pos > base + end:
+            if src.data is data:  # else the field went on past the lines too
+                _csv_records(rows, src, cut, taken + plain_before, table.acc, log)
+            return taken + chunk.add(table, first, log)
+    src.pos = cut
+    return taken + chunk.add(table, chunk.n_lines, log)
 
 
-def _parse_plain_prefix(reader: _InputReader, acc: dict, log: CleaningLog):
-    """Read the input in chunks and take its leading plain lines.
+def _parse_chunked(reader: _InputReader, acc: dict, log: CleaningLog) -> bool:
+    """Parse the input as Schema A in chunks after a header spelled exactly
+    as PAPER_HEADER; False, with the bytes read given back, after any other.
 
-    Returns a csv.reader over the rest of the input and the number of lines
-    taken, header included.  No line is taken unless the header is exactly
-    PAPER_HEADER.  A chunk is read only once every whole line read before it
-    is taken, so a line before an invalid byte is parsed before the byte
-    raises.
+    A chunk is read only once every whole line read before it is taken, so a
+    line before an invalid byte is parsed before the byte raises.
     """
     # The first read is two chunks.  glibc's malloc keeps freed heap for reuse
     # up to a size it raises to twice the largest block freed so far.  After a
@@ -433,26 +622,28 @@ def _parse_plain_prefix(reader: _InputReader, acc: dict, log: CleaningLog):
     header = next((h for h in _PAPER_HEADER_LINES if data.startswith(h, bom)), None)
     if header is None:
         reader.unread(data)
-        return _csv_rows(reader), 0
-    pos, lines = bom + len(header), 1  # data[pos:] is read, not yet taken
+        return False
+    src = _Lines(reader, data, bom + len(header))
+    rows = csv.reader(src)
+    table = _Slots(acc)
+    taken = 1  # lines taken with numpy, the header included
     while True:
-        cut = data.rfind(b"\n") + 1
-        if cut > pos:
-            taken, size = _take_plain_lines(data[pos:cut], acc, log)
-            lines += taken
-            pos += size
-            if pos < cut:
-                break
-        elif len(data) - pos >= _CHUNK_BYTES:  # a line longer than a chunk
+        cut = src.data.rfind(b"\n") + 1
+        if cut > src.pos:
+            taken = _take_lines(src, cut, rows, taken, table, log)
+        elif len(src.data) - src.pos >= _CHUNK_BYTES:  # a line longer than a chunk
+            _csv_records(rows, src, src.pos + 1, taken, acc, log)
+        elif not src.more(_CHUNK_BYTES):
             break
-        block = reader.read(_CHUNK_BYTES)
-        if not block:  # the last line may lack its newline
-            if pos < len(data) and _take_plain_lines(data[pos:] + b"\n", acc, log)[0]:
-                pos, lines = len(data), lines + 1
-            break
-        data, pos = data[pos:] + block, 0
-    reader.unread(data[pos:])
-    return _csv_rows(reader, at_start=False), lines
+    # What is left has no newline: a last line, taken if plain, or records
+    # that end at "\r", which csv reads.
+    rest = src.data[src.pos :]
+    if rest and _Chunk(rest + b"\n", table).add(table, 1, log):
+        src.pos, taken = len(src.data), taken + 1
+    with _csv_errors(rows, taken):
+        _parse_paper_rows(rows, taken, acc, log)
+    table.fold()
+    return True
 
 
 def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> None:
@@ -505,10 +696,10 @@ def parse_paper_level(source: Source):
     C or N_2Y.
 
     The input picks the stage: after an exact plain header, plain lines are
-    parsed in numpy chunks until the first line that is not plain, and
-    ``csv`` parses the rest; any other header (a quoted one, say) is read by
-    ``csv`` from line 1 (see the module docstring).  Results, errors and
-    warnings are the same either way.
+    parsed in numpy chunks and every other record by ``csv``, one at a time,
+    in line order; any other header (a quoted one, say) is read by ``csv``
+    from line 1 (see the module docstring).  Results, errors and warnings
+    are the same either way.
     """
     return _parse(source, "papers")
 
@@ -565,18 +756,18 @@ def _parse(source: Source, schema: Optional[str] = None):
     is_path = isinstance(source, (str, Path))
     with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
         reader = _InputReader(raw)
-        if schema == "journals":
-            rows, lines = _csv_rows(reader), 0
+        if schema != "journals" and _parse_chunked(reader, acc, log):
+            schema = "papers"
         else:
-            rows, lines = _parse_plain_prefix(reader, acc, log)
-        with _csv_errors(rows, lines):
-            schema = "papers" if lines else _read_schema(rows, schema)
-            if schema == "papers":
-                _parse_paper_rows(rows, lines, acc, log)
-            else:
-                seen: set[str] = set()
-                for agg in _iter_aggregate_rows(rows, log):
-                    _clean_into(journals, seen, agg, log)
+            rows = _csv_rows(reader)
+            with _csv_errors(rows):
+                schema = _read_schema(rows, schema)
+                if schema == "papers":
+                    _parse_paper_rows(rows, 0, acc, log)
+                else:
+                    seen: set[str] = set()
+                    for agg in _iter_aggregate_rows(rows, log):
+                        _clean_into(journals, seen, agg, log)
     for journal_id, (name, total, top, n) in acc.items():
         if total == 0:
             # no citable output (n == 0), or none of it cited: the zero/NA analogue

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volatix import ingest
@@ -276,7 +276,8 @@ def assert_matches_reference(raw, rows, caplog):
 
 class TestChunkedHandoff:
     """The first line the chunked parse cannot take comes after at least one
-    full chunk; ``csv`` takes over from it with the same state."""
+    full chunk; ``csv`` parses it with the same state, and the lines after it
+    parse as they would from ``csv`` alone."""
 
     # rows after the odd line: a journal from before it under another name,
     # the journal just before it, and a new one
@@ -425,6 +426,124 @@ class TestChunkedHandoff:
         journals, log, _ = reference_parse(rows)
         assert from_path[0].journals == journals
         assert from_path[1] == log
+
+
+class ListHandler(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def parse_outcome(raw):
+    """What parse_paper_level makes of ``raw``: the corpus items in order and
+    the log, or the error's message and line; and the warnings, in order."""
+    handler = ListHandler()
+    ingest.logger.addHandler(handler)
+    try:
+        corpus, log = parse_paper_level(io.BytesIO(raw))
+        assert corpus.provenance.digest == hashlib.sha256(raw).hexdigest()
+        outcome = (list(corpus.journals.items()), log)
+    except MalformedRowError as exc:
+        outcome = (str(exc), exc.line)
+    finally:
+        ingest.logger.removeHandler(handler)
+    return outcome, handler.messages
+
+
+# journal ids: non-ASCII, 8 and 9 bytes, longer than a key may be, and "AB"
+# next to "AB\0", which only csv may read
+JOURNAL_IDS = ["AB", "AB\0", "J", "Zé", "ABCDEFGH", "ABCDEFGHI", "Ünïcødé-ID-42", "L" * 70, ""]
+RECORDS = {
+    "plain": "{id},Name {n},p{n},{kind},{c}",
+    "quoted-name": '{id},"Name, {n}, Série",p{n},{kind},{c}',
+    "empty-quoted-name": '{id},"",p{n},{kind},{c}',
+    "escaped-quote": '{id},"Name ""{n}""",p{n},{kind},{c}',
+    "spans-two-lines": '{id},"Name{eol}{n}",p{n},{kind},{c}',
+    "lookalike": '{id},",p{n},{kind},{c}"',
+    "lookalike-in-paper-id": '{id},",p"{n},{kind},{c}',
+    "negative": "{id},Name {n},p{n},{kind},-{c}",
+    "above-cap": "{id},Name {n},p{n},{kind},2147483648",
+    "unknown-type": "{id},Name {n},p{n},poster,{c}",
+    "wrong-arity": "{id},Name {n},{kind},{c}",
+    "plus-sign": "{id},Name {n},p{n},{kind},+{c}",
+    "blank": "",
+    "bare-cr": "{id},Name {n},p{n},{kind},{c}\r{id},Name,q{n},{kind},{c}",
+}
+COMMON = ["plain", "plain", "plain", "quoted-name", "quoted-name"]
+
+
+@st.composite
+def schema_a_files(draw):
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    kinds = st.sampled_from(COMMON * 8 + list(RECORDS))
+    records = draw(
+        st.lists(
+            st.tuples(kinds, st.sampled_from(JOURNAL_IDS), st.sampled_from(KINDS), st.integers(0, 99)),
+            max_size=60,
+        )
+    )
+    if draw(st.booleans()):  # in journal runs, else in the order drawn
+        records.sort(key=lambda r: r[1])
+    lines = [
+        RECORDS[record].format(id=jid, n=n, kind=kind, c=c, eol=eol)
+        for n, (record, jid, kind, c) in enumerate(records)
+    ]
+    return schema_a(lines, eol=eol, bom=draw(st.booleans()), final_eol=draw(st.booleans()))
+
+
+class TestChunkedAgainstCsv:
+    """The chunked parse gives what csv gives from line 1."""
+
+    # The first read, two chunks, must hold the header: 27 bytes is the least.
+    @settings(max_examples=300, deadline=None)
+    @given(raw=schema_a_files(), tiny=st.integers(27, 64))
+    def test_chunked_parse_equals_a_csv_read(self, raw, tiny):
+        bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+        csv_only = parse_outcome(raw[:bom] + quote_header(raw[bom:]))
+        for chunk in (ingest._CHUNK_BYTES, tiny):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_CHUNK_BYTES", chunk)
+                assert parse_outcome(raw) == csv_only
+
+    def test_csv_reads_only_the_records_that_are_not_plain(self, monkeypatch):
+        # a papers-mixed-shaped file: quoted names, shuffled rows, CRLF, and
+        # two rejected rows in the middle
+        rng = random.Random(7)
+        lines = [
+            f'M{j:03d},"Annales de Física, Série {j}",M{j:03d}-{p},{rng.choice(KINDS)},{rng.randint(0, 40)}'
+            for j in range(300)
+            for p in range(rng.randint(2, 12))
+        ]
+        rng.shuffle(lines)
+        middle = len(lines) // 2
+        lines[middle:middle] = ["M007,Rejected,M007-X1,article,-3", "M011,Rejected,M011-X2,editorial,4"]
+        raw = schema_a(lines, eol="\r\n")
+        expected = parse_outcome(quote_header(raw))
+        read = []
+        parse_rows = ingest._parse_paper_rows
+
+        class CountingRows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __iter__(self):
+                for row in self.rows:
+                    read.append(row)
+                    yield row
+
+            @property
+            def line_num(self):
+                return self.rows.line_num
+
+        monkeypatch.setattr(
+            ingest, "_parse_paper_rows", lambda rows, *args: parse_rows(CountingRows(rows), *args)
+        )
+        assert parse_outcome(raw) == expected
+        assert [row[1] for row in read] == ["Rejected", "Rejected"]
+        assert [message.split(":")[0] for message in expected[1]] == [f"line {middle + 2}", f"line {middle + 3}"]
 
 
 class TestParseAggregate:

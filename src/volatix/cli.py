@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import analytics, ingest, metrics, synthgen
-from .display import MAX_DIGITS, decimal_str, exact_str, parse_rational, percent_str
+from .display import MAX_DIGITS, decimal_str, exact_str, parse_int, parse_rational, percent_str
 from .errors import InvalidNumberError, VolatixError
 
 KEYS = {"abs": analytics.RankKey.ABSOLUTE, "rel": analytics.RankKey.RELATIVE}
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="top-K journals by volatility")
     p.add_argument("corpus")
     p.add_argument("--key", choices=["abs", "rel"], default="abs")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=parse_int, default=10)
     _add_output_flags(p)
     p.set_defaults(func=cmd_rank)
 
@@ -185,15 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whatif", help="effect of one candidate paper on a journal")
     p.add_argument("--f", type=parse_rational, required=True, help="initial citation average")
-    p.add_argument("--n", type=int, required=True, help="initial biennial size")
-    p.add_argument("--c", type=int, required=True, help="candidate paper citations")
+    p.add_argument("--n", type=parse_int, required=True, help="initial biennial size")
+    p.add_argument("--c", type=parse_int, required=True, help="candidate paper citations")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=cmd_whatif)
 
     p = sub.add_parser("synth", help="generate a synthetic Schema-A corpus")
     p.add_argument("config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=parse_int, help="override the config seed")
     p.add_argument("--out", help="write papers.csv here (default stdout)")
     p.set_defaults(func=cmd_synth)
 

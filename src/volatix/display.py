@@ -25,7 +25,7 @@ from .errors import InvalidNumberError
 #: Longest number, and largest exponent, read from the command line: more
 #: makes ``Fraction`` hang or results too long for ``str(int)`` (4300 digits).
 MAX_DIGITS = 1000
-_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_EXPONENT = re.compile(r"e([-+]?\d+)\s*\Z", re.IGNORECASE)
 
 
 def _half_up_units(x: Fraction, scale: int) -> int:
@@ -102,13 +102,30 @@ def plain_number_str(x: Fraction) -> str:
     return s
 
 
+def _plain_number(text: str) -> str:
+    """``text``, unless it holds a ``_`` or a character outside ASCII, which
+    raise ``InvalidNumberError``: ``int`` and ``Fraction`` read ``1_0`` and
+    ``١٠`` as 10, and ``Fraction`` reads ``1_0`` only from Python 3.11 on."""
+    if "_" in text or not text.isascii():
+        raise InvalidNumberError(f"not a plain ASCII number: {text!r}")
+    return text
+
+
+def parse_int(text: str) -> int:
+    """Parse an integer written in ASCII digits, such as '12' or '-3'; a
+    ``_`` or a non-ASCII digit raises ``InvalidNumberError``, as ``int`` would
+    not."""
+    return int(_plain_number(text))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse '16.15', '3/4' or '12' into an exact Fraction.
 
-    Text that is not a finite rational, has a zero denominator, or is longer
-    or has a larger exponent than MAX_DIGITS raises ``InvalidNumberError``.
+    Text that is not a finite rational, has a zero denominator, has a ``_``
+    or a character outside ASCII, or is longer or has a larger exponent than
+    MAX_DIGITS raises ``InvalidNumberError``.
     """
-    exponent = _EXPONENT.search(text)
+    exponent = _EXPONENT.search(_plain_number(text))
     if len(text) > MAX_DIGITS or (exponent and abs(int(exponent[1])) > MAX_DIGITS):
         raise InvalidNumberError(f"number out of range (over {MAX_DIGITS} digits): {text!r}")
     try:

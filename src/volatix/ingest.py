@@ -36,11 +36,15 @@ readable but invalid (negative counts, counts or an ``n_2y`` above
 MAX_CITATIONS, unknown item types, violated count invariants) are rejected and
 logged instead.
 
-Every byte of an input file is read once, through one reader that hashes it
-for the provenance digest and checks that it is UTF-8.  Every row wholly
-before the first invalid byte is parsed, and then the parse raises
+Every byte of an input file is read once, through one reader and its one
+buffer.  The reader hashes each byte for the provenance digest, checks that
+it is UTF-8 and drops a BOM at the start; it splits lines for ``csv`` itself,
+at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as a text stream opened with
+``newline=""`` does.  Every row wholly before the first invalid byte is
+parsed, and then the parse raises
 ``MalformedRowError("invalid UTF-8 byte 0xe9 at offset 73", line=2)``, with
-the byte's 0-based offset in the file.
+the byte's 0-based offset in the file.  ``csv`` reads the header line of
+either schema.
 
 Schema A is parsed in two stages, and only the input picks between them.
 After a header spelled exactly as PAPER_HEADER, the input is read in chunks
@@ -158,72 +162,96 @@ class Corpus:
         return len(self.journals)
 
 
-class _InputReader(io.RawIOBase):
-    """Binary reader that every read of an input file goes through.
+class _InputReader:
+    """The one reader of an input file: a buffer, ``data``, read at ``pos``.
 
-    It hashes each byte read from ``raw`` once, into ``hasher``, and serves
-    only valid UTF-8: a character split by a read is held back until its
-    last byte is read, and at the first invalid sequence only the bytes
-    before it are served.  The read after those raises MalformedRowError
-    with the byte's 0-based offset in the file and its line, counted in LF
-    line breaks.  ``unread`` gives bytes back, to be served first.
+    :meth:`more` reads the next bytes from ``raw``.  It hashes each byte once,
+    into ``hasher``, drops a BOM at the start of the input and keeps only
+    valid UTF-8: a character split by a read waits for its last byte, and at
+    the first invalid sequence only the bytes before it are kept.  The read
+    after those raises MalformedRowError with the byte's 0-based offset in
+    the file and its line, counted in LF line breaks.
+
+    Iterating serves csv the line at ``pos`` and moves past it, one line per
+    call; :meth:`rest` serves every line to the end of the input faster.  A
+    line ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in a text stream opened
+    with ``newline=""``, so csv reads the lines a read of the whole input
+    gives it.
     """
 
     def __init__(self, raw):
         self._raw = raw
         self.hasher = hashlib.sha256()
-        self._pending = b""  # checked, not yet served
+        self.data, self.pos = b"", 0
         self._split = b""  # the start of a character split by the last read
         self._offset = 0  # file offset of self._split
         self._lines = 1  # line of self._split
         self._error = None
 
-    def readable(self) -> bool:
-        return True
-
-    def unread(self, data: bytes) -> None:
-        self._pending = data + self._pending
-
-    def read(self, size: int) -> bytes:
-        """Up to ``size`` bytes; ``b""`` at the end of the input."""
-        while not self._pending:
+    def more(self, size: int) -> bool:
+        """Read up to ``size`` more bytes, dropping those before ``pos``; False,
+        with ``data`` as it was, at the end of the input."""
+        while True:
             if self._error is not None:
                 raise self._error
-            if not self._fill(size):
-                return b""
-        data, self._pending = self._pending[:size], self._pending[size:]
-        return data
+            block = self._raw.read(size)
+            self.hasher.update(block)
+            data = self._split + block
+            if not data:
+                return False
+            if data.isascii():
+                valid = len(data)
+            else:
+                try:
+                    valid = codecs.utf_8_decode(data, "strict", not block)[1]
+                except UnicodeDecodeError as exc:
+                    valid = exc.start
+                    self._error = MalformedRowError(
+                        f"invalid UTF-8 byte 0x{data[valid]:02x} "
+                        f"at offset {self._offset + valid}",
+                        line=self._lines + data.count(b"\n", 0, valid),
+                    )
+            self._split = data[valid:]
+            if valid:
+                bom = self._offset == 0 and data.startswith(codecs.BOM_UTF8)
+                self._offset += valid
+                self._lines += data.count(b"\n", 0, valid)
+                self.data, self.pos = self.data[self.pos :] + data[len(codecs.BOM_UTF8) * bom : valid], 0
+                return True
 
-    def _fill(self, size: int) -> bool:
-        """Read up to ``size`` bytes into _pending; False at the end of input."""
-        block = self._raw.read(size)
-        self.hasher.update(block)
-        data = self._split + block
-        if data.isascii():
-            valid = len(data)
-        else:
-            try:
-                valid = codecs.utf_8_decode(data, "strict", not block)[1]
-            except UnicodeDecodeError as exc:
-                valid = exc.start
-                self._error = MalformedRowError(
-                    f"invalid UTF-8 byte 0x{data[valid]:02x} "
-                    f"at offset {self._offset + valid}",
-                    line=self._lines + data.count(b"\n", 0, valid),
-                )
-        self._pending, self._split = data[:valid], data[valid:]
-        self._offset += valid
-        self._lines += self._pending.count(b"\n")
-        return bool(data)
+    def __iter__(self):
+        return self
 
+    def __next__(self) -> str:
+        while True:
+            end = _LINE_END.search(self.data, self.pos)
+            # a "\r" at the end of the buffer may be the start of "\r\n"
+            if end and (end.end() < len(self.data) or end.group() != b"\r"):
+                stop = end.end()
+                break
+            if not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
+                stop = len(self.data)
+                break
+        if stop == self.pos:
+            raise StopIteration
+        line, self.pos = self.data[self.pos : stop].decode("utf-8"), stop
+        return line
 
-def _csv_rows(reader: _InputReader, at_start: bool = True):
-    """A csv.reader over what ``reader`` serves; a BOM is dropped only at the
-    start of the input."""
-    text = io.TextIOWrapper(
-        reader, encoding="utf-8-sig" if at_start else "utf-8", newline=""
-    )
-    return csv.reader(text)
+    def rest(self) -> Iterator[str]:
+        """The lines from ``pos`` to the end of the input, as iterating gives
+        them, for a csv read of them all.  Each buffer is split once; its last
+        line waits for the next read unless it ends in ``\\n``."""
+        while True:
+            lines = self.data[self.pos :].splitlines(keepends=True)
+            self.pos = len(self.data)
+            if lines and not lines[-1].endswith(b"\n"):
+                self.pos -= len(lines.pop())
+            yield from map(bytes.decode, lines)
+            if not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
+                break
+        if self.pos < len(self.data):
+            line, self.pos = self.data[self.pos :].decode("utf-8"), len(self.data)
+            yield line
 
 
 @contextlib.contextmanager
@@ -236,14 +264,24 @@ def _csv_errors(rows, first_line: int = 0):
         raise MalformedRowError(str(exc), first_line + rows.line_num) from None
 
 
-def _read_schema(rows, expected: Optional[str] = None) -> str:
-    """Read the header row and return its schema, 'papers' or 'journals'.
+def _header(src: _InputReader, expected: Optional[str] = None) -> tuple[str, bool]:
+    """Read the header line of ``src`` with csv and return its schema,
+    'papers' or 'journals', and whether its bytes are a PAPER_HEADER line
+    spelled exactly, which the chunked stage reads after.
 
     With ``expected`` named, any other header raises ``bad header``, and an
     empty input is that schema with no rows; otherwise a header of neither
     schema, or none, raises ``unrecognized header``.
     """
-    header = next(rows, None)
+    # The first read is two chunks.  glibc's malloc keeps freed heap for reuse
+    # up to a size it raises to twice the largest block freed so far.  After a
+    # first parse of only one chunk's lines that size stays small, and each
+    # later chunk's numpy temporaries go back to the OS and are faulted in
+    # again: 5e4 more page faults and about 0.15 s per 1e6 rows.
+    src.more(2 * _CHUNK_BYTES)
+    rows = csv.reader(src)
+    with _csv_errors(rows):
+        header = next(rows, None)
     found = next((name for name, cols in _HEADERS.items() if header == cols), None)
     if expected is None and found is None:
         raise MalformedRowError(f"unrecognized header {header!r}", line=1)
@@ -251,7 +289,7 @@ def _read_schema(rows, expected: Optional[str] = None) -> str:
         raise MalformedRowError(
             f"bad header {header!r}, expected {_HEADERS[expected]!r}", line=1
         )
-    return found or expected
+    return found or expected, src.data[: src.pos] in _PAPER_HEADER_LINES
 
 
 def _parse_count(value: str, line: int, column: str) -> int:
@@ -283,50 +321,12 @@ _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8")  # the 
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
-class _Lines:
-    """The input after a Schema-A header, read into one buffer that the chunked
-    stage takes plain lines from, at ``pos``.
-
-    Iterating serves csv the line at ``pos`` and moves past it.  A line ends
-    at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in a text stream opened with
-    ``newline=""``, so csv reads the lines a read of the whole input gives it.
-    """
-
-    def __init__(self, reader: _InputReader, data: bytes, pos: int):
-        self.reader, self.data, self.pos = reader, data, pos
-
-    def more(self, size: int) -> bool:
-        """Read up to ``size`` more bytes, dropping those before ``pos``; False
-        at the end of the input."""
-        block = self.reader.read(size)
-        self.data, self.pos = self.data[self.pos :] + block, 0
-        return bool(block)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        while True:
-            end = _LINE_END.search(self.data, self.pos)
-            # a "\r" at the end of the buffer may be the start of "\r\n"
-            if end and (end.end() < len(self.data) or end.group() != b"\r"):
-                stop = end.end()
-                break
-            if not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
-                stop = len(self.data)
-                break
-        if stop == self.pos:
-            raise StopIteration
-        line, self.pos = self.data[self.pos : stop].decode("utf-8"), stop
-        return line
-
-
 class _Records:
     """The records of the csv.reader ``rows`` over ``src`` that start before
     offset ``end`` of its buffer, as a csv.reader.  A read into a new buffer
-    (see _Lines.more) moves the offsets, and ends the records too."""
+    (see _InputReader.more) moves the offsets, and ends the records too."""
 
-    def __init__(self, rows, src: _Lines, end: int):
+    def __init__(self, rows, src: _InputReader, end: int):
         self._rows, self._src, self._data, self._end = rows, src, src.data, end
 
     def __iter__(self):
@@ -341,7 +341,7 @@ class _Records:
         return self._rows.line_num
 
 
-def _csv_records(rows, src: _Lines, end: int, first_line: int, acc: dict, log) -> None:
+def _csv_records(rows, src: _InputReader, end: int, first_line: int, acc: dict, log) -> None:
     """Parse the records of ``rows`` that start before offset ``end`` of
     ``src.data`` with the csv row loop."""
     with _csv_errors(rows, first_line):
@@ -583,7 +583,7 @@ def _id_keys(b, starts, ends):
     return ids.view(f"S{width}")[:, 0]
 
 
-def _take_lines(src: _Lines, cut: int, rows, taken: int, table: _Slots, log) -> int:
+def _take_lines(src: _InputReader, cut: int, rows, taken: int, table: _Slots, log) -> int:
     """Take the lines of ``src.data[src.pos:cut]`` in order: plain ones into
     ``table``, and each run of other lines through the csv row loop.
 
@@ -605,25 +605,13 @@ def _take_lines(src: _Lines, cut: int, rows, taken: int, table: _Slots, log) -> 
     return taken + chunk.add(table, chunk.n_lines, log)
 
 
-def _parse_chunked(reader: _InputReader, acc: dict, log: CleaningLog) -> bool:
-    """Parse the input as Schema A in chunks after a header spelled exactly
-    as PAPER_HEADER; False, with the bytes read given back, after any other.
+def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
+    """Parse the input as Schema A in chunks, from ``src.pos``, just after a
+    header spelled exactly as PAPER_HEADER.
 
     A chunk is read only once every whole line read before it is taken, so a
     line before an invalid byte is parsed before the byte raises.
     """
-    # The first read is two chunks.  glibc's malloc keeps freed heap for reuse
-    # up to a size it raises to twice the largest block freed so far.  After a
-    # first parse of only one chunk's lines that size stays small, and each
-    # later chunk's numpy temporaries go back to the OS and are faulted in
-    # again: 5e4 more page faults and about 0.15 s per 1e6 rows.
-    data = reader.read(2 * _CHUNK_BYTES)
-    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    header = next((h for h in _PAPER_HEADER_LINES if data.startswith(h, bom)), None)
-    if header is None:
-        reader.unread(data)
-        return False
-    src = _Lines(reader, data, bom + len(header))
     rows = csv.reader(src)
     table = _Slots(acc)
     taken = 1  # lines taken with numpy, the header included
@@ -643,7 +631,6 @@ def _parse_chunked(reader: _InputReader, acc: dict, log: CleaningLog) -> bool:
     with _csv_errors(rows, taken):
         _parse_paper_rows(rows, taken, acc, log)
     table.fold()
-    return True
 
 
 def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> None:
@@ -697,17 +684,18 @@ def parse_paper_level(source: Source):
 
     The input picks the stage: after an exact plain header, plain lines are
     parsed in numpy chunks and every other record by ``csv``, one at a time,
-    in line order; any other header (a quoted one, say) is read by ``csv``
-    from line 1 (see the module docstring).  Results, errors and warnings
-    are the same either way.
+    in line order; after any other header (a quoted one, say) ``csv`` reads
+    every row (see the module docstring).  Both stages read the input's one
+    reader, so results, errors and warnings are the same either way.
     """
     return _parse(source, "papers")
 
 
 def _iter_aggregate_rows(rows, log: CleaningLog) -> Iterator[JournalAggregate]:
-    """Yield validated aggregates from Schema-B rows, rejecting violations."""
+    """Yield validated aggregates from the Schema-B rows after the header
+    line, rejecting violations."""
     for row in rows:
-        line = rows.line_num
+        line = 1 + rows.line_num
         if len(row) != 5:
             raise MalformedRowError(f"expected 5 fields, got {len(row)}", line)
         journal_id, name, total_text, n_text, top_text = row
@@ -745,25 +733,25 @@ def _parse(source: Source, schema: Optional[str] = None):
     """Parse ``source`` as ``schema``, or as its header says when ``schema``
     is None; returns ``(Corpus, CleaningLog)``.
 
-    The input is opened once and read once, through one _InputReader.  An
-    exact plain Schema-A header sends it to the chunked stage, unless
-    ``schema`` is 'journals'; ``csv`` reads any other header, and the rows
-    after it, from line 1.
+    The input is opened once and read once, through one _InputReader, whose
+    header :func:`_header` reads.  After an exact plain Schema-A header the
+    chunked stage reads the rows; after any other, ``csv`` reads them from
+    ``_InputReader.rest``.
     """
     log = CleaningLog()
     journals: dict[str, JournalAggregate] = {}
     acc: dict[str, list] = {}  # Schema A: journal_id -> [name, total, top, n_citable]
     is_path = isinstance(source, (str, Path))
     with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
-        reader = _InputReader(raw)
-        if schema != "journals" and _parse_chunked(reader, acc, log):
-            schema = "papers"
+        src = _InputReader(raw)
+        schema, exact = _header(src, schema)
+        if exact:
+            _parse_chunked(src, acc, log)
         else:
-            rows = _csv_rows(reader)
-            with _csv_errors(rows):
-                schema = _read_schema(rows, schema)
+            rows = csv.reader(src.rest())
+            with _csv_errors(rows, 1):
                 if schema == "papers":
-                    _parse_paper_rows(rows, 0, acc, log)
+                    _parse_paper_rows(rows, 1, acc, log)
                 else:
                     seen: set[str] = set()
                     for agg in _iter_aggregate_rows(rows, log):
@@ -779,7 +767,7 @@ def _parse(source: Source, schema: Optional[str] = None):
         journals[journal_id] = JournalAggregate(journal_id, name, total, n, top)
         log.citations_kept += total
     log.journals_kept = len(journals)
-    provenance = Provenance(reader.hasher.hexdigest(), schema)
+    provenance = Provenance(src.hasher.hexdigest(), schema)
     return Corpus(journals=journals, provenance=provenance), log
 
 
@@ -916,9 +904,7 @@ def write_journals_csv(corpus: Corpus, dest: Union[str, Path, io.TextIOBase]) ->
 def sniff_schema(path: Union[str, Path]) -> str:
     """Return 'papers' or 'journals' from a file's header line."""
     with open(path, "rb") as fh:
-        rows = _csv_rows(_InputReader(fh))
-        with _csv_errors(rows):
-            return _read_schema(rows)
+        return _header(_InputReader(fh))[0]
 
 
 def load_corpus(path: Union[str, Path]):

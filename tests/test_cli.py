@@ -456,6 +456,40 @@ def test_number_too_long_to_print_is_one_line_error(capsys, data_dir, argv, mess
 
 
 @pytest.mark.parametrize(
+    "argv,code,err_tail",
+    [
+        (["rank", "top_absolute_2017.csv", "--top", "٣"], 2, "argument --top: invalid parse_int value: '٣'"),
+        (["rank", "top_absolute_2017.csv", "--top", "1_0"], 2, "argument --top: invalid parse_int value: '1_0'"),
+        (["whatif", "--f", "1_0", "--n", "10", "--c", "3"], 2, "argument --f: invalid parse_rational value: '1_0'"),
+        (["whatif", "--f", "١٠", "--n", "10", "--c", "3"], 2, "argument --f: invalid parse_rational value: '١٠'"),
+        (["whatif", "--f", "10", "--n", "١٠", "--c", "3"], 2, "argument --n: invalid parse_int value: '١٠'"),
+        (["whatif", "--f", "10", "--n", "10", "--c", "1_0"], 2, "argument --c: invalid parse_int value: '1_0'"),
+        (["synth", "synth_config.json", "--seed", "٧"], 2, "argument --seed: invalid parse_int value: '٧'"),
+        (["thresholds", "top_absolute_2017.csv", "--cuts", "1_0,20"], 1, "volatix: not a plain ASCII number: '1_0'"),
+        (["thresholds", "top_absolute_2017.csv", "--cuts", "10,٢٠"], 1, "volatix: not a plain ASCII number: '٢٠'"),
+    ],
+    ids=["top-arabic", "top-underscore", "f-underscore", "f-arabic", "n-arabic", "c-underscore",
+         "seed-arabic", "cuts-underscore", "cuts-arabic"],
+)
+def test_numbers_are_ascii_digits_only(capsys, data_dir, tmp_path, argv, code, err_tail):
+    # int() and Fraction() read "1_0" and "١٠" as 10; a flag must not
+    argv = [str(data_dir / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    if argv[0] != "whatif":  # the one command without --out
+        argv += ["--out", str(tmp_path / "out")]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, "")
+    if code == 1:
+        assert err.splitlines() == [err_tail]
+    else:  # argparse's usage, then its error
+        assert err.startswith("usage: ") and err.splitlines()[-1].endswith(err_tail)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv", [["report", "--format", "json", "--exact"], ["rank", "--exact"]], ids=["report", "rank"]
 )
 def test_n_2y_above_cap_is_a_rejected_row(capsys, caplog, tmp_path, argv):

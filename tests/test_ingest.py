@@ -1,6 +1,7 @@
 import codecs
 import hashlib
 import io
+import itertools
 import json
 import logging
 import os
@@ -497,9 +498,9 @@ def schema_a_files(draw):
 class TestChunkedAgainstCsv:
     """The chunked parse gives what csv gives from line 1."""
 
-    # The first read, two chunks, must hold the header: 27 bytes is the least.
+    # csv reads the header over as many reads as it takes, so any size works.
     @settings(max_examples=300, deadline=None)
-    @given(raw=schema_a_files(), tiny=st.integers(27, 64))
+    @given(raw=schema_a_files(), tiny=st.integers(1, 64))
     def test_chunked_parse_equals_a_csv_read(self, raw, tiny):
         bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
         csv_only = parse_outcome(raw[:bom] + quote_header(raw[bom:]))
@@ -544,6 +545,76 @@ class TestChunkedAgainstCsv:
         assert parse_outcome(raw) == expected
         assert [row[1] for row in read] == ["Rejected", "Rejected"]
         assert [message.split(":")[0] for message in expected[1]] == [f"line {middle + 2}", f"line {middle + 3}"]
+
+
+# text pieces: line ends, multibyte characters and a BOM that is data, not
+# a byte order mark
+READER_PIECES = ["a,b", '"q\nr"', "x", "\n", "\r\n", "\r", "é", "€", "𝄞", "\ufeff"]
+# an invalid byte, a stray continuation byte and cut-off sequences
+INVALID = [b"\xff", b"\x80", b"\xe2\x82", b"\xc3"]
+
+
+@st.composite
+def reader_inputs(draw):
+    """Bytes with a leading BOM or not, and at most one invalid sequence,
+    whose offset is given (None for none)."""
+    pieces = [piece.encode() for piece in draw(st.lists(st.sampled_from(READER_PIECES), max_size=40))]
+    bad = None
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(pieces)))
+        bad = len(b"".join(pieces[:at]))
+        pieces.insert(at, draw(st.sampled_from(INVALID)))
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + b"".join(pieces), None if bad is None else len(bom) + bad
+
+
+def text_stream_lines(data, bad):
+    """The lines a ``newline=""`` text stream reads from ``data``, up to the
+    invalid byte at ``bad`` if there is one, and the error that byte raises.
+
+    A line is given before the invalid byte only if it ends in ``\\n``: a
+    line that does not may go on after it, and ``\\r`` may start ``\\r\\n``.
+    """
+    end = len(data) if bad is None else bad
+    lines = list(io.TextIOWrapper(io.BytesIO(data[:end]), encoding="utf-8-sig", newline=""))
+    if bad is None:
+        return lines, None
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()
+    line = data.count(b"\n", 0, bad) + 1
+    return lines, (f"invalid UTF-8 byte 0x{data[bad]:02x} at offset {bad} (line {line})", line)
+
+
+def reader_lines(data, switch):
+    """The lines an _InputReader over ``data`` serves, ``switch`` of them by
+    iterating and the others from rest(), and the error it raises if any."""
+    reader = ingest._InputReader(io.BytesIO(data))
+    lines = []
+    try:
+        for line in itertools.islice(reader, switch):
+            lines.append(line)
+        for line in reader.rest():
+            lines.append(line)
+    except MalformedRowError as exc:
+        return lines, (str(exc), exc.line)
+    assert reader.hasher.hexdigest() == hashlib.sha256(data).hexdigest()
+    return lines, None
+
+
+class TestInputReader:
+    """The reader splits lines as a text stream opened with ``newline=""``
+    does, which csv needs, at any read size."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(found=reader_inputs(), chunk=st.integers(1, 64), switch=st.integers(0, 50))
+    def test_lines_equal_a_text_stream(self, found, chunk, switch):
+        data, bad = found
+        expected = text_stream_lines(data, bad)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_BYTES", chunk)
+            assert reader_lines(data, None) == expected  # iterating only
+            assert reader_lines(data, 0) == expected  # rest() only
+            assert reader_lines(data, switch) == expected
 
 
 class TestParseAggregate:
@@ -724,8 +795,9 @@ class TestSerialization:
             assert str(exc.value) == f"bad header {header!r}, expected {expected!r} (line 1)"
 
     @pytest.mark.parametrize("fixture", ["absolute_fixture", "papers_sample"])
-    def test_load_corpus_opens_its_input_once(self, fixture, request, monkeypatch):
-        opened, readers = [], []
+    def test_load_corpus_opens_its_input_once(self, fixture, request, monkeypatch, tmp_path):
+        opened, readers, sources = [], [], []
+        csv_reader = ingest.csv.reader
 
         def counting_open(*args, **kwargs):
             opened.append(args[0])
@@ -733,8 +805,17 @@ class TestSerialization:
 
         class CountingReader(ingest._InputReader):
             def __init__(self, raw):
-                readers.append(raw)
+                readers.append(self)
                 super().__init__(raw)
+
+        def recording_csv_reader(lines, *args, **kwargs):
+            # csv reads a reader, or the generator of its rest(), or a wrapper
+            if getattr(lines, "gi_code", None) is ingest._InputReader.rest.__code__:
+                lines_of = lines.gi_frame.f_locals["self"]
+            else:
+                lines_of = lines
+            sources.append(lines_of)
+            return csv_reader(lines, *args, **kwargs)
 
         monkeypatch.setattr(ingest, "open", counting_open, raising=False)
         monkeypatch.setattr(ingest, "_InputReader", CountingReader)
@@ -742,6 +823,16 @@ class TestSerialization:
         corpus, _ = load_corpus(path)
         assert (opened, len(readers)) == ([path], 1)
         assert corpus.provenance.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        # sniff_schema, and a read after a header that only csv reads (Schema B
+        # or Schema A by the fixture): one reader each, that csv reads from
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(b'"journal_id"' + path.read_bytes()[len(b"journal_id") :])
+        monkeypatch.setattr(ingest.csv, "reader", recording_csv_reader)
+        for read, source in [(load_corpus, path), (sniff_schema, path), (load_corpus, quoted)]:
+            del opened[:], readers[:], sources[:]
+            read(source)
+            assert (opened, len(readers)) == ([source], 1)
+            assert sources and all(lines_of is readers[0] for lines_of in sources)
 
 
 class TestAtomicOut:

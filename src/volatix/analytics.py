@@ -1,10 +1,13 @@
 """Corpus-level volatility products: rankings, threshold tables, scatter data.
 
 All computation is a pure map over journals, run in one thread, then a heap
-top-k over the exact key and threshold counts that cross-multiply numerators
-and denominators, so identical corpora serialize to identical bytes on every
-run.  Journals that cannot be ranked (single-paper journals, or undefined
-relative volatility) go to a sidecar exclusion list, never dropped silently.
+top-k over the exact key and threshold counts.  Both read each report's values
+as integer numerators and denominators and compare them by cross-multiplying,
+and the writers render the same integers, so no ``Fraction`` is made per
+report except for the public points of :func:`scatter_data`.  Identical
+corpora serialize to identical bytes on every run.  Journals that cannot be
+ranked (single-paper journals, or undefined relative volatility) go to a
+sidecar exclusion list, never dropped silently.
 """
 
 from __future__ import annotations
@@ -13,9 +16,17 @@ import enum
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Optional, Sequence
 
-from .display import decimal_str, exact_str, percent_str, plain_number_str, sig2_percent_str
+from .display import (
+    exact_str,
+    plain_number_str,
+    ratio_decimal_str,
+    ratio_exact_str,
+    ratio_percent_str,
+    sig2_percent_str,
+)
 from .errors import InvalidThresholdsError
 from .ingest import Corpus, write_csv, write_json
 from .metrics import VolatilityReport, top_paper_volatility
@@ -79,19 +90,35 @@ def volatility_reports(
     """Top-paper volatility for every journal in a corpus.
 
     Returns reports sorted by journal_id plus the exclusion sidecar
-    (single-paper journals, whose decomposition is undefined).  The work runs
-    in one thread; ``max_workers`` is accepted for compatibility and ignored,
-    because threads only slow this GIL-bound ``Fraction`` arithmetic.
+    (single-paper journals, whose decomposition is undefined).  Each report
+    holds its journal's counts, and no ``Fraction`` is made.  ``max_workers``
+    is accepted for compatibility and ignored: the work runs in one thread.
     """
     ordered = [corpus.journals[jid] for jid in sorted(corpus.journals)]
     excluded = [Exclusion(a.journal_id, "singleton_journal") for a in ordered if a.n_2y < 2]
     return [top_paper_volatility(a) for a in ordered if a.n_2y >= 2], excluded
 
 
-def _key_value(report: VolatilityReport, key: RankKey) -> Optional[Fraction]:
-    if key is RankKey.ABSOLUTE:
-        return report.delta_f
-    return report.delta_f_rel
+def _key_index(key: RankKey) -> int:
+    """Position of the key's numerator in :meth:`VolatilityReport._pairs`;
+    its denominator follows it."""
+    return 4 if key is RankKey.ABSOLUTE else 6
+
+
+def _compare(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as ``a`` ranks below, with or above ``b``, where each is
+    ``(key num, key den, delta_f num, delta_f den)`` with positive
+    denominators: the keys are compared by cross-multiplying, then, on a tie,
+    the ``delta_f``s."""
+    an, ad, a_dn, a_dd = a
+    bn, bd, b_dn, b_dd = b
+    left, right = an * bd, bn * ad
+    if left == right:
+        left, right = a_dn * b_dd, b_dn * a_dd
+    return (left > right) - (left < right)
+
+
+_rank_order = cmp_to_key(_compare)
 
 
 def rank_by_volatility(
@@ -106,16 +133,25 @@ def rank_by_volatility(
     """
     if k < 0:
         raise InvalidThresholdsError(f"table length k must be >= 0, got {k}")
+    index = _key_index(key)
     eligible = []
     excluded = []
     for report in reports:
-        if _key_value(report, key) is None:
-            excluded.append(Exclusion(report.journal_id, "undefined_relative"))
-        else:
+        if report._pairs()[index + 1]:
             eligible.append(report)
+        else:
+            excluded.append(Exclusion(report.journal_id, "undefined_relative"))
+
+    # The order keys are made inside nlargest, which frees all but k of them
+    # at once: kept for every report, they cost the garbage collector more
+    # than reading _pairs() twice.
+    def order(report: VolatilityReport):
+        v = report._pairs()
+        return _rank_order((v[index], v[index + 1], v[4], v[5]))
+
     eligible.sort(key=lambda r: r.journal_id)
     # nlargest is sorted(..., reverse=True)[:k], stable on ties like that sort
-    rows = heapq.nlargest(k, eligible, key=lambda r: (_key_value(r, key), r.delta_f))
+    rows = heapq.nlargest(k, eligible, key=order)
     return RankedTable(key=key, rows=tuple(rows), k=k, excluded=tuple(excluded))
 
 
@@ -135,12 +171,18 @@ def threshold_table(
             raise InvalidThresholdsError(
                 f"thresholds must be strictly increasing, got {lo} before {hi}"
             )
-    values = [v for r in reports if (v := _key_value(r, key)) is not None]
-    total = len(values)
+    index = _key_index(key)
+    nums, dens = [], []  # ints, which the garbage collector does not track
+    for report in reports:
+        v = report._pairs()
+        if v[index + 1]:
+            nums.append(v[index])
+            dens.append(v[index + 1])
+    total = len(nums)
     rows = []
     for cut in cuts:
         p, q = cut.numerator, cut.denominator
-        count = sum(q * v.numerator > p * v.denominator for v in values)
+        count = sum(q * num > p * den for num, den in zip(nums, dens))
         percent = Fraction(count, total) if total else Fraction(0)
         rows.append(ThresholdRow(cut, count, percent))
     return ThresholdTable(key=key, rows=tuple(rows), journals_ranked=total)
@@ -151,8 +193,11 @@ def scatter_data(
 ) -> list[tuple[int, Fraction, Optional[Fraction]]]:
     """Plot-ready (n_2y, delta_f, delta_f_rel) points, one per ranked journal,
     sorted by n_2y then journal_id."""
-    ordered = sorted(reports, key=lambda r: (r.n_2y, r.journal_id))
-    return [(r.n_2y, r.delta_f, r.delta_f_rel) for r in ordered]
+    points = []
+    for r in sorted(reports, key=lambda r: (r.n_2y, r.journal_id)):
+        *_, dn, dd, rn, rd = r._pairs()
+        points.append((r.n_2y, Fraction(dn, dd), Fraction(rn, rd) if rd else None))
+    return points
 
 
 def dataset_summary(corpus: Corpus) -> CorpusSummary:
@@ -169,32 +214,27 @@ def dataset_summary(corpus: Corpus) -> CorpusSummary:
 REPORT_FIELDS = ["journal_id", "f", "f_star", "c_star", "delta_f", "delta_f_rel", "n_2y"]
 
 
-def _avg_cell(x: Fraction, exact: bool) -> str:
-    return exact_str(x) if exact else decimal_str(x, 2)
-
-
-def _rel_cell(x: Optional[Fraction], exact: bool) -> str:
-    if x is None:
-        return ""
-    return exact_str(x) if exact else percent_str(x)
-
-
 def report_row(report: VolatilityReport, *, exact: bool = False) -> list:
+    """A report's CSV cells; an undefined ``delta_f_rel`` is the empty string."""
+    fn, fd, sn, sd, dn, dd, rn, rd = report._pairs()
+    if exact:
+        avg = rel_cell = ratio_exact_str
+    else:
+        avg, rel_cell = ratio_decimal_str, ratio_percent_str
     return [
         report.journal_id,
-        _avg_cell(report.f, exact),
-        _avg_cell(report.f_star, exact),
+        avg(fn, fd),
+        avg(sn, sd),
         report.c_star,
-        _avg_cell(report.delta_f, exact),
-        _rel_cell(report.delta_f_rel, exact),
+        avg(dn, dd),
+        rel_cell(rn, rd) if rd else "",
         report.n_2y,
     ]
 
 
 def report_obj(report: VolatilityReport, *, exact: bool = False) -> dict:
-    row = report_row(report, exact=exact)
-    obj = dict(zip(REPORT_FIELDS, row))
-    if report.delta_f_rel is None:
+    obj = dict(zip(REPORT_FIELDS, report_row(report, exact=exact)))
+    if obj["delta_f_rel"] == "":  # a defined value never renders empty
         obj["delta_f_rel"] = None
     return obj
 

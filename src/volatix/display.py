@@ -1,22 +1,25 @@
 """Rendering rules for exact rationals.
 
-Values stay exact ``fractions.Fraction``s until here, the one place where
-numbers become strings, rounded on their integer numerator and denominator.
-The conventions, applied everywhere (CSV, JSON, CLI):
+Values stay exact until here, the one place where numbers become strings:
+``fractions.Fraction``s, or ``(num, den)`` integer pairs with ``den > 0``
+that need not be reduced, rounded on their integer numerator and
+denominator.  The conventions, applied everywhere (CSV, JSON, CLI):
 
 * citation averages and absolute volatilities: 2 decimals, ties rounded
   half away from zero ("half-up");
 * relative volatilities: integer percent with a ``%`` suffix;
 * threshold-table percentages: 2 significant figures;
-* ``--exact`` mode: the full rational as ``"numerator/denominator"``.
+* ``--exact`` mode: the full reduced rational as ``"numerator/denominator"``.
 
 Keeping formatting centralized (and float-free for the rounded forms) is what
-makes serialized output byte-identical across runs.
+makes serialized output byte-identical across runs.  Each ``*_str`` of a
+``Fraction`` has a ``ratio_*_str`` twin that takes the pair.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from fractions import Fraction
 
@@ -28,11 +31,10 @@ MAX_DIGITS = 1000
 _EXPONENT = re.compile(r"e([-+]?\d+)\s*\Z", re.IGNORECASE)
 
 
-def _half_up_units(x: Fraction, scale: int) -> int:
-    """``x * scale`` rounded to an integer, ties away from zero, on ints only."""
-    num = x.numerator * scale
-    units, rest = divmod(abs(num), x.denominator)
-    if 2 * rest >= x.denominator:
+def _half_up_units(num: int, den: int) -> int:
+    """``num / den`` rounded to an integer, ties away from zero, on ints only."""
+    units, rest = divmod(abs(num), den)
+    if 2 * rest >= den:
         units += 1
     return -units if num < 0 else units
 
@@ -40,13 +42,13 @@ def _half_up_units(x: Fraction, scale: int) -> int:
 def round_half_up(x: Fraction, places: int = 0) -> Fraction:
     """Round to ``places`` decimals, ties away from zero, exactly."""
     scale = 10**places
-    return Fraction(_half_up_units(x, scale), scale)
+    return Fraction(_half_up_units(x.numerator * scale, x.denominator), scale)
 
 
-def decimal_str(x: Fraction, places: int = 2) -> str:
-    """Fixed-point decimal string with half-up rounding, e.g. ``'68.27'``."""
+def ratio_decimal_str(num: int, den: int, places: int = 2) -> str:
+    """``num / den`` as a fixed-point decimal string with half-up rounding."""
     scale = 10**places
-    units = _half_up_units(x, scale)
+    units = _half_up_units(num * scale, den)
     sign = "-" if units < 0 else ""
     whole, frac = divmod(abs(units), scale)
     if places == 0:
@@ -54,9 +56,19 @@ def decimal_str(x: Fraction, places: int = 2) -> str:
     return f"{sign}{whole}.{frac:0{places}d}"
 
 
+def decimal_str(x: Fraction, places: int = 2) -> str:
+    """Fixed-point decimal string with half-up rounding, e.g. ``'68.27'``."""
+    return ratio_decimal_str(x.numerator, x.denominator, places)
+
+
+def ratio_percent_str(num: int, den: int) -> str:
+    """``num / den`` as an integer percent, e.g. (542, 200) -> '271%'."""
+    return f"{_half_up_units(num * 100, den)}%"
+
+
 def percent_str(x: Fraction) -> str:
     """Ratio rendered as an integer percent, e.g. Fraction(271,100) -> '271%'."""
-    return f"{_half_up_units(x, 100)}%"
+    return ratio_percent_str(x.numerator, x.denominator)
 
 
 def sig2_percent_str(x: Fraction) -> str:
@@ -73,6 +85,12 @@ def sig2_percent_str(x: Fraction) -> str:
         ctx.rounding = decimal.ROUND_HALF_UP
         d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
     return format(d, "f") + "%"
+
+
+def ratio_exact_str(num: int, den: int) -> str:
+    """Audit form of ``num / den``: reduced by one ``gcd``, sign on the numerator."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 def exact_str(x: Fraction) -> str:

@@ -26,13 +26,16 @@ The top-paper decomposition asks the same question of a journal's own most
 cited paper.  With ``f = C / N_2Y``, top count ``c*`` and the "initial"
 average without that paper ``f* = (C - c*) / (N_2Y - 1)``, the paper moved
 the published average by ``delta_f(c*) = f - f* = (N_2Y c* - C) / (N_2Y
-(N_2Y - 1))``; reports build it, as a ``Fraction``, from those integers.
+(N_2Y - 1))``.  All four report values are ratios of the integers ``(C,
+N_2Y, c*)``, so a report keeps only those counts: ranking, thresholds and
+rendering read each value as an integer ``(num, den)`` pair, and a
+``Fraction`` is made only when a caller reads a field.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -154,21 +157,116 @@ class VolatilityInputs:
         return cls(Fraction(c1, n1), n1, c)
 
 
-@dataclass(frozen=True)
+_REPORT_FIELDS = ("journal_id", "f", "f_star", "c_star", "delta_f", "delta_f_rel", "n_2y")
+
+
+def _value_field(index: int, doc: str) -> property:
+    """Value ``index`` (0-3) of a report's :meth:`VolatilityReport._pairs`,
+    read as a ``Fraction``, or None where its denominator is 0."""
+
+    def get(self):
+        values = self._pairs()
+        num, den = values[2 * index], values[2 * index + 1]
+        return None if den == 0 else Fraction(num, den)
+
+    return property(get, doc=doc)
+
+
 class VolatilityReport:
     """Per-journal result of the top-paper decomposition.
 
     ``delta_f_rel`` is None when the paperless average ``f_star`` is zero
     (the relative change is undefined/infinite there).
+
+    The four values are kept as integers and read as ``Fraction``s.  A report
+    from :func:`top_paper_volatility` holds only the counts ``(C, N_2Y, c*)``;
+    one built with this constructor holds the numerator and denominator of
+    each value it was given.  Either way :meth:`_pairs` serves the values as
+    integer numerators and denominators, which is all that ranking,
+    thresholds and rendering read, so a ``Fraction`` is made only when a
+    field is read.  Equality, hash and repr are those of a frozen dataclass
+    of the seven fields, whichever form a report has.
     """
 
-    journal_id: str
-    f: Fraction
-    f_star: Fraction
-    c_star: int
-    delta_f: Fraction
-    delta_f_rel: Optional[Fraction]
-    n_2y: int
+    # (journal_id, c_star, n_2y, C or None, the given values' numerators and
+    # denominators or None): one slot, so that a report is built with one
+    # assignment
+    __slots__ = ("_data",)
+
+    def __init__(
+        self,
+        journal_id: str,
+        f: Fraction,
+        f_star: Fraction,
+        c_star: int,
+        delta_f: Fraction,
+        delta_f_rel: Optional[Fraction],
+        n_2y: int,
+    ):
+        given = ()
+        for value in (f, f_star, delta_f, delta_f_rel):
+            if value is None:
+                given += (0, 0)  # undefined: denominator 0
+            else:
+                value = Fraction(value)
+                given += (value.numerator, value.denominator)
+        _set_data(self, (journal_id, c_star, n_2y, None, given))
+
+    @classmethod
+    def _from_counts(cls, journal_id: str, total: int, n_2y: int, top: int) -> "VolatilityReport":
+        report = object.__new__(cls)
+        _set_data(report, (journal_id, top, n_2y, total, None))
+        return report
+
+    def _pairs(self) -> tuple:
+        """``f``, ``f_star``, ``delta_f`` and ``delta_f_rel`` as the numerator
+        and denominator of each, eight ints in one tuple (one tuple, not four,
+        because it is read once per report on every hot path).  The pairs
+        need not be reduced.  Each denominator is positive, except that of
+        ``delta_f_rel`` where it is undefined: there it is 0, as ``N (C - c*)``
+        is when ``C = c*``."""
+        _, top, n, total, given = self._data
+        if given is not None:
+            return given
+        rest, excess = total - top, n * top - total
+        return total, n, rest, n - 1, excess, n * (n - 1), excess, n * rest
+
+    journal_id = property(lambda self: self._data[0], doc="The journal's id.")
+    c_star = property(lambda self: self._data[1], doc="Citations of the top paper, c*.")
+    n_2y = property(lambda self: self._data[2], doc="Biennial size N_2Y.")
+    f = _value_field(0, "Citation average C / N_2Y.")
+    f_star = _value_field(1, "Average without the top paper: (C - c*) / (N_2Y - 1).")
+    delta_f = _value_field(2, "Shift f - f_star that the top paper made.")
+    delta_f_rel = _value_field(3, "Relative shift delta_f / f_star; None when f_star = 0.")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(_REPORT_FIELDS, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+# Writes a report's one slot past the __setattr__ that keeps reports frozen;
+# the slot's own setter is the cheapest way, once per report.
+_set_data = VolatilityReport._data.__set__
 
 
 def citation_average(total_citations: int, n: int) -> Fraction:
@@ -289,16 +387,8 @@ def top_paper_volatility(agg: JournalAggregate) -> VolatilityReport:
             f"journal {agg.journal_id!r} has a single citable paper; "
             "top-paper decomposition is undefined"
         )
-    total, n, top = agg.total_citations, agg.n_2y, agg.top_cited
-    excess = n * top - total
-    return VolatilityReport(
-        journal_id=agg.journal_id,
-        f=Fraction(total, n),
-        f_star=Fraction(total - top, n - 1),
-        c_star=top,
-        delta_f=Fraction(excess, n * (n - 1)),
-        delta_f_rel=Fraction(excess, n * (total - top)) if total != top else None,
-        n_2y=n,
+    return VolatilityReport._from_counts(
+        agg.journal_id, agg.total_citations, agg.n_2y, agg.top_cited
     )
 
 

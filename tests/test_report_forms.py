@@ -1,0 +1,162 @@
+"""Counts-built reports against reports built from ``Fraction``s.
+
+``top_paper_volatility`` keeps a journal's counts ``(C, N_2Y, c*)`` and makes
+a ``Fraction`` only when a field is read; the public constructor takes the
+four values as ``Fraction``s.  The two forms must be indistinguishable: in
+every field, in ``==``, ``hash`` and ``repr``, and in every table and byte
+the analytics layer makes from them.  The rounded writers must not make a
+``Fraction`` per report at all.
+"""
+
+import copy
+import io
+import pickle
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from volatix import analytics
+from volatix.analytics import RankKey
+from volatix.ingest import Corpus
+from volatix.metrics import JournalAggregate, VolatilityReport, top_paper_volatility
+
+
+@st.composite
+def possible_aggregates(draw, journal_ids=st.sampled_from("ABCD"), small=True):
+    """Aggregates a real journal can have (the top paper at least the average);
+    small counts make keys, delta_f and journal ids tie often."""
+    n = draw(st.integers(2, 5 if small else 10**6))
+    top = draw(st.integers(0, 6 if small else 2**31 - 1))
+    rest = draw(st.integers(0, (n - 1) * top))
+    jid = draw(journal_ids)
+    return JournalAggregate(jid, jid, total_citations=top + rest, n_2y=n, top_cited=top)
+
+
+def fraction_built(agg):
+    """The report of ``agg`` from the ``Fraction`` formulas, by the public constructor."""
+    total, n, top = agg.total_citations, agg.n_2y, agg.top_cited
+    f, f_star = Fraction(total, n), Fraction(total - top, n - 1)
+    return VolatilityReport(
+        agg.journal_id, f, f_star, top, f - f_star, (f - f_star) / f_star if f_star else None, n
+    )
+
+
+@given(possible_aggregates(journal_ids=st.just("J"), small=False))
+@example(JournalAggregate("J", "J", total_citations=7, n_2y=2, top_cited=7))
+@example(JournalAggregate("J", "J", total_citations=0, n_2y=2, top_cited=0))
+@example(JournalAggregate("J", "J", total_citations=12, n_2y=2, top_cited=6))
+def test_counts_report_equals_fraction_report(agg):
+    counts, built = top_paper_volatility(agg), fraction_built(agg)
+    for name in ("journal_id", "f", "f_star", "c_star", "delta_f", "delta_f_rel", "n_2y"):
+        a, b = getattr(counts, name), getattr(built, name)
+        assert (a, type(a)) == (b, type(b)), name
+    assert counts == built and built == counts
+    assert hash(counts) == hash(built)
+    assert repr(counts) == repr(built)
+
+
+def test_repr_and_immutability_are_a_frozen_dataclass():
+    report = top_paper_volatility(JournalAggregate("j1", "Journal One", 112, 6, 87))
+    assert repr(report) == (
+        "VolatilityReport(journal_id='j1', f=Fraction(56, 3), f_star=Fraction(5, 1), "
+        "c_star=87, delta_f=Fraction(41, 3), delta_f_rel=Fraction(41, 15), n_2y=6)"
+    )
+    for name in ("journal_id", "f", "c_star", "delta_f_rel"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, 1)
+    assert pickle.loads(pickle.dumps(report)) == report == copy.deepcopy(report)
+    assert report != (report.journal_id,)
+
+
+def products(reports) -> list:
+    """Every table and every writer's bytes, rounded and exact, of ``reports``."""
+    out = [analytics.scatter_data(reports)]
+    tables = []
+    for key in RankKey:
+        for k in (0, 1, 3, 20):
+            table = analytics.rank_by_volatility(reports, key, k)
+            out.append(([r.journal_id for r in table.rows], table.excluded))
+            tables.append(table)
+        cuts = analytics.DEFAULT_ABSOLUTE_CUTS + (Fraction(-1, 3), Fraction(0), Fraction(7, 3))
+        tables.append(analytics.threshold_table(reports, key, sorted(cuts)))
+    out += tables
+    for exact in (False, True):
+        for write in (analytics.write_reports_csv, analytics.write_reports_json):
+            out.append(render(write, reports, exact=exact))
+        for table in tables:
+            kind = "ranked" if isinstance(table, analytics.RankedTable) else "thresholds"
+            for fmt in ("csv", "json"):
+                write = getattr(analytics, f"write_{kind}_{fmt}")
+                out.append(render(write, table, exact=exact))
+    out.append(render(analytics.write_scatter_csv, out[0]))
+    return out
+
+
+def render(write, payload, **kwargs) -> str:
+    buf = io.StringIO()
+    write(payload, buf, **kwargs)
+    return buf.getvalue()
+
+
+@given(st.lists(st.tuples(possible_aggregates(), st.booleans()), max_size=12))
+def test_mixed_table_gives_the_bytes_of_an_all_fraction_table(drawn):
+    mixed = [top_paper_volatility(a) if counts else fraction_built(a) for a, counts in drawn]
+    reference = [fraction_built(a) for a, _ in drawn]
+    assert mixed == reference
+    assert products(mixed) == products(reference)
+    by_size = sorted(reference, key=lambda r: (r.n_2y, r.journal_id))
+    assert analytics.scatter_data(mixed) == [(r.n_2y, r.delta_f, r.delta_f_rel) for r in by_size]
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """A counter of ``Fraction.__new__`` calls, that is, of ``Fraction``s made."""
+    calls = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    return calls
+
+
+def corpus_of(n_journals: int) -> Corpus:
+    """``n_journals`` journals, every tenth with an undefined ``delta_f_rel``."""
+    aggs = [
+        JournalAggregate(f"J{i:04d}", "J", 7 * i + (3 if i % 10 else 0), 2 + i % 9, 7 * i)
+        for i in range(1, n_journals + 1)
+    ]
+    return Corpus(journals={a.journal_id: a for a in aggs})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rounded_report_and_rank_make_no_fraction(fmt, fraction_calls):
+    corpus = corpus_of(300)
+    reports, _ = analytics.volatility_reports(corpus)
+    assert fraction_calls[0] == 0
+    render(getattr(analytics, f"write_reports_{fmt}"), reports)
+    for key in RankKey:
+        table = analytics.rank_by_volatility(reports, key, 10)
+        render(getattr(analytics, f"write_ranked_{fmt}"), table)
+    assert fraction_calls[0] == 0
+    assert len(reports) == 300
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("key", list(RankKey))
+def test_rounded_thresholds_make_no_fraction_per_report(fmt, key, fraction_calls):
+    """The cuts and percents are ``Fraction``s; the reports add none."""
+    cuts = list(analytics.DEFAULT_ABSOLUTE_CUTS)
+    made = []
+    for n_journals in (100, 400):
+        reports, _ = analytics.volatility_reports(corpus_of(n_journals))
+        before = fraction_calls[0]
+        table = analytics.threshold_table(reports, key, cuts)
+        render(getattr(analytics, f"write_thresholds_{fmt}"), table)
+        made.append(fraction_calls[0] - before)
+    assert made[0] == made[1] <= 6 * len(cuts)

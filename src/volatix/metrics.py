@@ -97,6 +97,8 @@ class JournalAggregate:
       * ``n_2y >= 1``
       * ``0 <= top_cited <= total_citations``
       * a single-paper journal's top paper holds all its citations
+      * the top paper is at least the average: ``n_2y * top_cited >=
+        total_citations``, so that removing it never raises the average
     """
 
     journal_id: str
@@ -123,6 +125,11 @@ class JournalAggregate:
             raise InvalidAggregateError(
                 f"journal {self.journal_id!r}: single paper must hold all "
                 f"{self.total_citations} citations"
+            )
+        if self.n_2y * self.top_cited < self.total_citations:
+            raise InvalidAggregateError(
+                f"journal {self.journal_id!r}: top_cited {self.top_cited} below the "
+                f"average {self.total_citations}/{self.n_2y}"
             )
 
     @property

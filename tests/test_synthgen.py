@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from volatix import synthgen
 from volatix.analytics import volatility_reports
 from volatix.errors import ConfigError
 from volatix.metrics import MAX_CITATIONS
 from volatix.synthgen import (
+    MAX_ROWS,
     ZIPF_MAX_C_MAX,
     DiscreteLognormal,
     FixedSizes,
@@ -82,11 +84,37 @@ class TestConfig:
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "size_model": "ab"}),
             # the zipf table must fit in memory
             lambda: ZipfTruncated(alpha=2.0, c_max=ZIPF_MAX_C_MAX + 1),
+            # at most MAX_ROWS paper rows, refused before anything is drawn
+            lambda: FixedSizes(MAX_ROWS + 1),
+            lambda: FixedSizes(10**10),
+            lambda: LogUniformSizes(2, MAX_ROWS + 1),
+            lambda: small_config(n_journals=10**10),
+            lambda: small_config(n_journals=MAX_ROWS // 10 + 1),
+            lambda: SynthConfig(2, LogUniformSizes(2, MAX_ROWS // 2 + 1), DiscreteLognormal(0, 1), 1),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):
             bad()
+
+    def test_row_cap_message(self):
+        # built only: a config past the cap must never reach a draw
+        with pytest.raises(ConfigError) as exc:
+            SynthConfig.from_dict({**small_config().as_dict(), "n_journals": 10**10})
+        assert str(exc.value) == (
+            "n_journals 10000000000 times the largest journal size 10 is over "
+            "2147483647 paper rows"
+        )
+
+    def test_row_cap_is_inclusive(self):
+        assert SynthConfig(1, FixedSizes(MAX_ROWS), DiscreteLognormal(0, 1), 1).n_journals == 1
+        assert small_config(n_journals=MAX_ROWS // 10).n_journals == MAX_ROWS // 10
+        assert LogUniformSizes(2, MAX_ROWS).largest == MAX_ROWS
+
+    def test_journal_ids_are_made_lazily(self):
+        ids = synthgen._journal_ids(small_config(n_journals=3))
+        assert iter(ids) is ids
+        assert list(ids) == ["S00001", "S00002", "S00003"]
 
     def test_zipf_table_is_built_on_first_draw(self):
         model = ZipfTruncated(alpha=2.0, c_max=ZIPF_MAX_C_MAX)

@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from volatix import synthgen
 from volatix.analytics import volatility_reports
 from volatix.errors import ConfigError
+from volatix.ingest import PAPER_HEADER
 from volatix.metrics import MAX_CITATIONS
 from volatix.synthgen import (
+    BLOCK_ROWS,
     MAX_ROWS,
     ZIPF_MAX_C_MAX,
     DiscreteLognormal,
@@ -19,7 +23,6 @@ from volatix.synthgen import (
     ZipfTruncated,
     clt_binned_stats,
     generate_corpus,
-    iter_paper_rows,
     journal_citations,
     journal_sizes,
     write_corpus_csv,
@@ -163,6 +166,79 @@ class TestDeterminism:
         )
 
 
+def reference_csv(config):
+    """The corpus CSV as csv.writer writes it, one tuple per paper row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PAPER_HEADER)
+    for jid, counts in synthgen._draws(config):
+        writer.writerows(
+            (jid, jid, f"{jid}-P{i:06d}", "article", c)
+            for i, c in enumerate(counts.tolist(), start=1)
+        )
+    return out.getvalue()
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps the number of rows in each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows_per_write = []
+
+    def write(self, text):
+        self.rows_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("seed", [1, 3, 101])
+    @pytest.mark.parametrize(
+        "n_journals,size_model,citation_model",
+        [
+            (300, LogUniformSizes(2, 1000), DiscreteLognormal(mu=0.5, sigma=1.2)),
+            (300, LogUniformSizes(2, 200), ZipfTruncated(alpha=2.0, c_max=5000)),
+            (150, FixedSizes(20), DiscreteLognormal(mu=2.0, sigma=2.0)),
+            (150, FixedSizes(20), ZipfTruncated(alpha=1.5, c_max=10**5)),
+            # journals one row short of a block, a block, and one row over
+            (1, FixedSizes(BLOCK_ROWS - 1), DiscreteLognormal(mu=0.5, sigma=1.2)),
+            (1, FixedSizes(BLOCK_ROWS), ZipfTruncated(alpha=2.0, c_max=100)),
+            (1, FixedSizes(BLOCK_ROWS + 1), DiscreteLognormal(mu=0.5, sigma=1.2)),
+            (6, LogUniformSizes(BLOCK_ROWS - 1, BLOCK_ROWS + 1), ZipfTruncated(2.0, 100)),
+        ],
+        ids=["loguniform-lognormal", "loguniform-zipf", "fixed-lognormal", "fixed-zipf",
+             "block-1", "block", "block+1", "around-block"],
+    )
+    def test_bytes_match_csv_writer(self, n_journals, size_model, citation_model, seed):
+        config = SynthConfig(n_journals, size_model, citation_model, seed)
+        out = io.StringIO()
+        rows = write_corpus_csv(config, out)
+        assert out.getvalue() == reference_csv(config)
+        assert rows == int(journal_sizes(config).sum())
+
+    def test_bytes_match_csv_writer_with_wide_ids(self):
+        # 10**5 journals: six-digit ids, S100000 the last
+        config = SynthConfig(100_000, FixedSizes(1), DiscreteLognormal(0.5, 1.2), seed=101)
+        draws = list(synthgen._draws(config))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthgen, "_draws", lambda _: iter(draws))
+            out = io.StringIO()
+            assert write_corpus_csv(config, out) == 100_000
+            expected = reference_csv(config)
+        assert out.getvalue() == expected
+        last = draws[-1][1][0]
+        assert out.getvalue().endswith(f"\nS100000,S100000,S100000-P000001,article,{last}\n")
+
+    def test_writes_at_most_a_block_of_rows_at_a_time(self):
+        # one journal's rows are not joined into one string, whatever its size
+        config = SynthConfig(1, FixedSizes(3 * BLOCK_ROWS), DiscreteLognormal(0.5, 1.2), seed=5)
+        out = RecordingStream()
+        assert write_corpus_csv(config, out) == 3 * BLOCK_ROWS
+        assert max(out.rows_per_write) <= BLOCK_ROWS
+        assert sum(out.rows_per_write) == 1 + 3 * BLOCK_ROWS
+        assert out.getvalue() == reference_csv(config)
+
+
 class TestGeneration:
     def test_paper_rows_match_sizes(self):
         config = SynthConfig(
@@ -172,9 +248,13 @@ class TestGeneration:
             seed=9,
         )
         sizes = journal_sizes(config)
-        rows = list(iter_paper_rows(config))
+        out = io.StringIO()
+        assert write_corpus_csv(config, out) == int(sizes.sum())
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert header == PAPER_HEADER
         assert len(rows) == int(sizes.sum())
         assert all(row[3] == "article" for row in rows)
+        assert list(Counter(row[0] for row in rows).values()) == sizes.tolist()
 
     def test_aggregates_consistent_with_papers(self):
         corpus = generate_corpus(small_config(), keep_papers=True)

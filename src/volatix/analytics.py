@@ -29,7 +29,7 @@ from .display import (
 )
 from .errors import InvalidThresholdsError
 from .ingest import Corpus, write_csv, write_json
-from .metrics import VolatilityReport, top_paper_volatility
+from .metrics import REPORT_FIELDS, VolatilityReport, top_paper_volatility
 
 #: Threshold presets mirroring the customary report cuts.
 DEFAULT_ABSOLUTE_CUTS = tuple(
@@ -211,8 +211,6 @@ def dataset_summary(corpus: Corpus) -> CorpusSummary:
 
 # --- serialization ---------------------------------------------------------
 
-REPORT_FIELDS = ["journal_id", "f", "f_star", "c_star", "delta_f", "delta_f_rel", "n_2y"]
-
 
 def report_row(report: VolatilityReport, *, exact: bool = False) -> list:
     """A report's CSV cells; an undefined ``delta_f_rel`` is the empty string."""
@@ -249,7 +247,7 @@ def write_reports_json(reports, dest, *, exact: bool = False) -> None:
 
 def write_ranked_csv(table: RankedTable, dest, *, exact: bool = False) -> None:
     rows = ([i] + report_row(r, exact=exact) for i, r in enumerate(table.rows, start=1))
-    write_csv(dest, ["rank"] + REPORT_FIELDS, rows)
+    write_csv(dest, ["rank", *REPORT_FIELDS], rows)
 
 
 def write_ranked_json(table: RankedTable, dest, *, exact: bool = False) -> None:

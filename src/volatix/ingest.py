@@ -40,8 +40,9 @@ Every byte of an input file is read once, through one reader and its one
 buffer.  The reader hashes each byte for the provenance digest, checks that
 it is UTF-8 and drops a BOM at the start; it splits lines for ``csv`` itself,
 at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as a text stream opened with
-``newline=""`` does.  Every row wholly before the first invalid byte is
-parsed, and then the parse raises
+``newline=""`` does, with one ``bytes.splitlines`` of each buffer for every
+``csv`` read.  Every row wholly before the first invalid byte is parsed, and
+then the parse raises
 ``MalformedRowError("invalid UTF-8 byte 0xe9 at offset 73", line=2)``, with
 the byte's 0-based offset in the file.  ``csv`` reads the header line of
 either schema.
@@ -74,7 +75,6 @@ import io
 import json
 import logging
 import os
-import re
 import stat
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,11 +172,10 @@ class _InputReader:
     after those raises MalformedRowError with the byte's 0-based offset in
     the file and its line, counted in LF line breaks.
 
-    Iterating serves csv the line at ``pos`` and moves past it, one line per
-    call; :meth:`rest` serves every line to the end of the input faster.  A
-    line ends at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as in a text stream opened
-    with ``newline=""``, so csv reads the lines a read of the whole input
-    gives it.
+    :meth:`lines` serves csv the lines from ``pos`` on, splitting each
+    buffer once for every csv read.  A line ends at ``\\n``, ``\\r\\n`` or a
+    bare ``\\r``, as in a text stream opened with ``newline=""``, so csv reads
+    the lines a read of the whole input gives it.
     """
 
     def __init__(self, raw):
@@ -219,49 +218,33 @@ class _InputReader:
                 self.data, self.pos = self.data[self.pos :] + data[len(codecs.BOM_UTF8) * bom : valid], 0
                 return True
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
+    def lines(self, stop: Optional[int] = None) -> Iterator[str]:
+        """The lines from ``pos`` on, to the end of the input, moving ``pos``
+        past each line served.  ``data[pos:stop]`` is split once, then the
+        rest of the buffer and each later read once each; the last line of a
+        split waits for the next unless it ends in ``\\n``, since a ``\\r`` may
+        start ``\\r\\n``."""
         while True:
-            end = _LINE_END.search(self.data, self.pos)
-            # a "\r" at the end of the buffer may be the start of "\r\n"
-            if end and (end.end() < len(self.data) or end.group() != b"\r"):
-                stop = end.end()
-                break
-            if not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
-                stop = len(self.data)
-                break
-        if stop == self.pos:
-            raise StopIteration
-        line, self.pos = self.data[self.pos : stop].decode("utf-8"), stop
-        return line
-
-    def rest(self) -> Iterator[str]:
-        """The lines from ``pos`` to the end of the input, as iterating gives
-        them, for a csv read of them all.  Each buffer is split once; its last
-        line waits for the next read unless it ends in ``\\n``."""
-        while True:
-            lines = self.data[self.pos :].splitlines(keepends=True)
-            self.pos = len(self.data)
+            lines = self.data[self.pos : stop].splitlines(keepends=True)
             if lines and not lines[-1].endswith(b"\n"):
-                self.pos -= len(lines.pop())
-            yield from map(bytes.decode, lines)
-            if not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
+                lines.pop()
+            for line in lines:
+                self.pos += len(line)
+                yield line.decode("utf-8")
+            if stop is not None and stop < len(self.data):
+                stop = None
+            elif not self.more(max(_CHUNK_BYTES, len(self.data) - self.pos)):
                 break
         if self.pos < len(self.data):
             line, self.pos = self.data[self.pos :].decode("utf-8"), len(self.data)
             yield line
 
 
-@contextlib.contextmanager
-def _csv_errors(rows, first_line: int = 0):
-    """Raise a csv.Error (a field over csv.field_size_limit(), or a NUL on
-    Python 3.10) from ``rows`` as MalformedRowError at its line."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise MalformedRowError(str(exc), first_line + rows.line_num) from None
+def _csv_error(exc: csv.Error, rows, first_line: int) -> MalformedRowError:
+    """A csv.Error (a field over csv.field_size_limit(), or a NUL on Python
+    3.10) from the csv.reader ``rows`` as MalformedRowError at its line;
+    ``first_line`` lines precede those ``rows`` reads."""
+    return MalformedRowError(str(exc), first_line + rows.line_num)
 
 
 def _header(src: _InputReader, expected: Optional[str] = None) -> tuple[str, bool]:
@@ -279,9 +262,11 @@ def _header(src: _InputReader, expected: Optional[str] = None) -> tuple[str, boo
     # later chunk's numpy temporaries go back to the OS and are faulted in
     # again: 5e4 more page faults and about 0.15 s per 1e6 rows.
     src.more(2 * _CHUNK_BYTES)
-    rows = csv.reader(src)
-    with _csv_errors(rows):
+    rows = csv.reader(src.lines())
+    try:
         header = next(rows, None)
+    except csv.Error as exc:
+        raise _csv_error(exc, rows, 0) from None
     found = next((name for name, cols in _HEADERS.items() if header == cols), None)
     if expected is None and found is None:
         raise MalformedRowError(f"unrecognized header {header!r}", line=1)
@@ -318,7 +303,7 @@ _MAX_DIGITS = len(str(MAX_CITATIONS))
 _DIGIT_WEIGHTS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
 _LF, _CR, _COMMA, _QUOTE, _ZERO = b'\n\r,"0'
 _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8")  # the first n bytes
-_LINE_END = re.compile(rb"\r\n?|\n")
+_ITEM_KINDS = {kind.value: kind for kind in ItemType}
 
 
 class _Records:
@@ -341,11 +326,16 @@ class _Records:
         return self._rows.line_num
 
 
-def _csv_records(rows, src: _InputReader, end: int, first_line: int, acc: dict, log) -> None:
-    """Parse the records of ``rows`` that start before offset ``end`` of
-    ``src.data`` with the csv row loop."""
-    with _csv_errors(rows, first_line):
+def _csv_records(src: _InputReader, end: int, first_line: int, acc: dict, log) -> int:
+    """Parse the records of ``src`` from ``pos`` that start before offset
+    ``end`` of its buffer with the csv row loop; ``first_line`` lines precede
+    them.  Returns the lines csv read."""
+    rows = csv.reader(src.lines(end))
+    try:
         _parse_paper_rows(_Records(rows, src, end), first_line, acc, log)
+    except csv.Error as exc:
+        raise _csv_error(exc, rows, first_line) from None
+    return rows.line_num
 
 
 class _Slots:
@@ -583,26 +573,27 @@ def _id_keys(b, starts, ends):
     return ids.view(f"S{width}")[:, 0]
 
 
-def _take_lines(src: _InputReader, cut: int, rows, taken: int, table: _Slots, log) -> int:
+def _take_lines(src: _InputReader, cut: int, taken: int, table: _Slots, log) -> int:
     """Take the lines of ``src.data[src.pos:cut]`` in order: plain ones into
     ``table``, and each run of other lines through the csv row loop.
 
-    ``taken`` lines were taken with numpy before; returns that count now.  If
-    a quoted field goes on past a run, csv reads the rest of the lines too,
-    and ``src.pos`` ends past them, in ``src.data`` as it is then.
+    ``taken`` lines were taken before; returns that count now.  If a quoted
+    field goes on past a run, csv reads the rest of the lines too, and
+    ``src.pos`` ends past them, in ``src.data`` as it is then.
     """
     base, data = src.pos, src.data
     chunk = _Chunk(data[base:cut], table)
+    read = 0  # lines csv read
     for first, start, end, plain_before in chunk.odd_runs:
         chunk.register(table, before=first)
         src.pos = base + start
-        _csv_records(rows, src, base + end, taken + plain_before, table.acc, log)
+        read += _csv_records(src, base + end, taken + plain_before + read, table.acc, log)
         if src.data is not data or src.pos > base + end:
             if src.data is data:  # else the field went on past the lines too
-                _csv_records(rows, src, cut, taken + plain_before, table.acc, log)
-            return taken + chunk.add(table, first, log)
+                read += _csv_records(src, cut, taken + plain_before + read, table.acc, log)
+            return taken + chunk.add(table, first, log) + read
     src.pos = cut
-    return taken + chunk.add(table, chunk.n_lines, log)
+    return taken + chunk.add(table, chunk.n_lines, log) + read
 
 
 def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
@@ -612,30 +603,23 @@ def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
     A chunk is read only once every whole line read before it is taken, so a
     line before an invalid byte is parsed before the byte raises.
     """
-    rows = csv.reader(src)
     table = _Slots(acc)
-    taken = 1  # lines taken with numpy, the header included
+    taken = 1  # lines taken, the header included
     while True:
         cut = src.data.rfind(b"\n") + 1
         if cut > src.pos:
-            taken = _take_lines(src, cut, rows, taken, table, log)
+            taken = _take_lines(src, cut, taken, table, log)
         elif len(src.data) - src.pos >= _CHUNK_BYTES:  # a line longer than a chunk
-            _csv_records(rows, src, src.pos + 1, taken, acc, log)
+            taken += _csv_records(src, len(src.data), taken, acc, log)
         elif not src.more(_CHUNK_BYTES):
             break
-    # What is left has no newline: a last line, taken if plain, or records
-    # that end at "\r", which csv reads.
-    rest = src.data[src.pos :]
-    if rest and _Chunk(rest + b"\n", table).add(table, 1, log):
-        src.pos, taken = len(src.data), taken + 1
-    with _csv_errors(rows, taken):
-        _parse_paper_rows(rows, taken, acc, log)
+    # What is left has no newline: a last line, or records that end at "\r".
+    _csv_records(src, len(src.data), taken, acc, log)
     table.fold()
 
 
 def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> None:
     """The csv row loop; ``first_line`` lines precede the rows ``rows`` reads."""
-    valid_types = {t.value: t for t in ItemType}
     for row in rows:
         line = first_line + rows.line_num
         if len(row) != 5:
@@ -651,7 +635,7 @@ def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> Non
                 citations,
             )
             continue
-        kind = valid_types.get(item_type)
+        kind = _ITEM_KINDS.get(item_type)
         if kind is None:
             log.rows_rejected += 1
             log.citations_read += citations
@@ -736,7 +720,7 @@ def _parse(source: Source, schema: Optional[str] = None):
     The input is opened once and read once, through one _InputReader, whose
     header :func:`_header` reads.  After an exact plain Schema-A header the
     chunked stage reads the rows; after any other, ``csv`` reads them from
-    ``_InputReader.rest``.
+    ``_InputReader.lines``.
     """
     log = CleaningLog()
     journals: dict[str, JournalAggregate] = {}
@@ -748,14 +732,16 @@ def _parse(source: Source, schema: Optional[str] = None):
         if exact:
             _parse_chunked(src, acc, log)
         else:
-            rows = csv.reader(src.rest())
-            with _csv_errors(rows, 1):
+            rows = csv.reader(src.lines())
+            try:
                 if schema == "papers":
                     _parse_paper_rows(rows, 1, acc, log)
                 else:
                     seen: set[str] = set()
                     for agg in _iter_aggregate_rows(rows, log):
                         _clean_into(journals, seen, agg, log)
+            except csv.Error as exc:
+                raise _csv_error(exc, rows, 1) from None
     for journal_id, (name, total, top, n) in acc.items():
         if total == 0:
             # no citable output (n == 0), or none of it cited: the zero/NA analogue

@@ -164,7 +164,7 @@ class VolatilityInputs:
         return cls(Fraction(c1, n1), n1, c)
 
 
-_REPORT_FIELDS = ("journal_id", "f", "f_star", "c_star", "delta_f", "delta_f_rel", "n_2y")
+REPORT_FIELDS = ("journal_id", "f", "f_star", "c_star", "delta_f", "delta_f_rel", "n_2y")
 
 
 def _value_field(index: int, doc: str) -> property:
@@ -247,7 +247,7 @@ class VolatilityReport:
     delta_f_rel = _value_field(3, "Relative shift delta_f / f_star; None when f_star = 0.")
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
+        return tuple(getattr(self, name) for name in REPORT_FIELDS)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -258,7 +258,7 @@ class VolatilityReport:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(_REPORT_FIELDS, self._fields()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(REPORT_FIELDS, self._fields()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

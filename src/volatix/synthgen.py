@@ -40,7 +40,7 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -277,16 +277,20 @@ class SynthConfig:
             cite_spec = dict(data["citation_model"])
             size_cls = _SIZE_MODELS[size_spec.pop("kind")]
             cite_cls = _CITATION_MODELS[cite_spec.pop("kind")]
-            return cls(
+            config = cls(
                 n_journals=data["n_journals"],
                 size_model=size_cls(**size_spec),
                 citation_model=cite_cls(**cite_spec),
                 seed=data["seed"],
             )
+            unknown = sorted(set(data) - {field.name for field in fields(cls)})
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:  # ValueError: dict("ab")
             raise ConfigError(f"bad synth config: {exc}") from exc
+        if unknown:
+            raise ConfigError(f"bad synth config: unknown keys {unknown}")
+        return config
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "SynthConfig":

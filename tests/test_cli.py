@@ -286,8 +286,9 @@ class TestSynthAndScatter:
                                  "sigma": 1.2}}, "mu must be a finite number, got nan"),
             ({"citation_model": {"kind": "zipf", "alpha": 2.0, "c_max": 1e20}},
              "c_max must be an integer, got 1e+20"),
+            ({"extra": 5, "comment": "x"}, "bad synth config: unknown keys ['comment', 'extra']"),
         ],
-        ids=["string-count", "bool-seed", "nan-mu", "float-c_max"],
+        ids=["string-count", "bool-seed", "nan-mu", "float-c_max", "unknown-key"],
     )
     def test_bad_config_value_is_one_line_error(self, capsys, data_dir, tmp_path, change, message):
         config = tmp_path / "config.json"

@@ -546,6 +546,34 @@ class TestChunkedAgainstCsv:
         assert [row[1] for row in read] == ["Rejected", "Rejected"]
         assert [message.split(":")[0] for message in expected[1]] == [f"line {middle + 2}", f"line {middle + 3}"]
 
+    def test_csv_reads_a_buffer_of_cr_lines_at_once(self, monkeypatch):
+        # After an LF header, rows that end in a bare "\r" hold no "\n", so
+        # every buffer is one line longer than a chunk to the chunked stage.
+        # csv must read all of a buffer's records per call: one call per
+        # record splits the rest of the buffer again for each, which is
+        # quadratic in the buffer size.
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1024)
+        rows = filler_rows(40 * 1024)
+        raw = schema_a([",".join(row) for row in rows], eol="\r")
+        raw = raw.replace(b"\r", b"\n", 1)
+        expected = parse_outcome(quote_header(raw))
+        reads, calls = [], []
+        more, csv_records = ingest._InputReader.more, ingest._csv_records
+
+        def counting_more(self, size):
+            reads.append(size)
+            return more(self, size)
+
+        def counting_csv_records(*args):
+            calls.append(args)
+            return csv_records(*args)
+
+        monkeypatch.setattr(ingest._InputReader, "more", counting_more)
+        monkeypatch.setattr(ingest, "_csv_records", counting_csv_records)
+        assert parse_outcome(raw) == expected
+        assert len(reads) >= 30 and len(rows) > 1000
+        assert len(calls) <= 2 * len(reads)
+
 
 # text pieces: line ends, multibyte characters and a BOM that is data, not
 # a byte order mark
@@ -585,16 +613,13 @@ def text_stream_lines(data, bad):
     return lines, (f"invalid UTF-8 byte 0x{data[bad]:02x} at offset {bad} (line {line})", line)
 
 
-def reader_lines(data, switch):
-    """The lines an _InputReader over ``data`` serves, ``switch`` of them by
-    iterating and the others from rest(), and the error it raises if any."""
+def reader_lines(data, serve):
+    """The lines that ``serve(reader, lines)`` appends to ``lines`` from an
+    _InputReader over ``data``, and the error the reader raises if any."""
     reader = ingest._InputReader(io.BytesIO(data))
     lines = []
     try:
-        for line in itertools.islice(reader, switch):
-            lines.append(line)
-        for line in reader.rest():
-            lines.append(line)
+        serve(reader, lines)
     except MalformedRowError as exc:
         return lines, (str(exc), exc.line)
     assert reader.hasher.hexdigest() == hashlib.sha256(data).hexdigest()
@@ -610,11 +635,30 @@ class TestInputReader:
     def test_lines_equal_a_text_stream(self, found, chunk, switch):
         data, bad = found
         expected = text_stream_lines(data, bad)
+
+        def one_generator(reader, lines):
+            lines.extend(reader.lines())
+
+        def fresh_generator(reader, lines):
+            lines.extend(itertools.islice(reader.lines(), switch))
+            lines.extend(reader.lines())
+
+        def stop_then_past_it(reader, lines):
+            # a stop at the switch-th line end in the buffer, then on past it
+            reader.more(chunk)
+            ends = [at + 1 for at, byte in enumerate(reader.data) if byte == ord("\n")]
+            stop = ends[switch % len(ends)] if ends else None
+            served = reader.lines(stop)
+            if stop is not None:
+                before = io.TextIOWrapper(io.BytesIO(reader.data[:stop]), encoding="utf-8", newline="")
+                lines.extend(itertools.islice(served, len(list(before))))
+                assert reader.pos == stop
+            lines.extend(served)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_CHUNK_BYTES", chunk)
-            assert reader_lines(data, None) == expected  # iterating only
-            assert reader_lines(data, 0) == expected  # rest() only
-            assert reader_lines(data, switch) == expected
+            for serve in (one_generator, fresh_generator, stop_then_past_it):
+                assert reader_lines(data, serve) == expected, serve.__name__
 
 
 class TestParseAggregate:
@@ -819,12 +863,9 @@ class TestSerialization:
                 super().__init__(raw)
 
         def recording_csv_reader(lines, *args, **kwargs):
-            # csv reads a reader, or the generator of its rest(), or a wrapper
-            if getattr(lines, "gi_code", None) is ingest._InputReader.rest.__code__:
-                lines_of = lines.gi_frame.f_locals["self"]
-            else:
-                lines_of = lines
-            sources.append(lines_of)
+            # csv reads only the lines generator of a reader
+            assert lines.gi_code is ingest._InputReader.lines.__code__
+            sources.append(lines.gi_frame.f_locals["self"])
             return csv_reader(lines, *args, **kwargs)
 
         monkeypatch.setattr(ingest, "open", counting_open, raising=False)

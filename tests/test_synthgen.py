@@ -85,6 +85,8 @@ class TestConfig:
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "n_journals": "abc"}),
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "seed": 1.9}),
             lambda: SynthConfig.from_dict({**small_config().as_dict(), "size_model": "ab"}),
+            # a top-level key the config does not have
+            lambda: SynthConfig.from_dict({**small_config().as_dict(), "extra": 5}),
             # the zipf table must fit in memory
             lambda: ZipfTruncated(alpha=2.0, c_max=ZIPF_MAX_C_MAX + 1),
             # at most MAX_ROWS paper rows, refused before anything is drawn

@@ -73,17 +73,34 @@ from .metrics import (
     volatility_relative_approx,
     volatility_relative_exact,
 )
-from .synthgen import (
-    BinnedStats,
-    BinRow,
-    DiscreteLognormal,
-    FixedSizes,
-    LogUniformSizes,
-    SynthConfig,
-    ZipfTruncated,
-    clt_binned_stats,
-    generate_corpus,
-    write_corpus_csv,
-)
 
 __version__ = "0.1.0"
+
+# synthgen needs numpy, so its names load with it on first use (PEP 562);
+# every other name, and every command but ``synth``, runs without numpy.
+_SYNTHGEN_NAMES = frozenset(
+    {
+        "BinnedStats",
+        "BinRow",
+        "DiscreteLognormal",
+        "FixedSizes",
+        "LogUniformSizes",
+        "SynthConfig",
+        "ZipfTruncated",
+        "clt_binned_stats",
+        "generate_corpus",
+        "write_corpus_csv",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SYNTHGEN_NAMES:
+        from . import synthgen
+
+        return getattr(synthgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SYNTHGEN_NAMES})

@@ -1,0 +1,386 @@
+"""The chunked Schema-A stage: plain lines parsed with numpy, in chunks.
+
+:func:`volatix.ingest._parse` imports this module, and with it numpy, only
+after a header spelled exactly as PAPER_HEADER, so every other command runs
+without numpy.  The input is then read in chunks of about ``_CHUNK_BYTES``
+(128 KiB), and numpy parses the lines of each.  A plain line (five fields, a
+journal_id of at most 64 bytes, an item type spelled exactly, 1-10 ASCII
+digits of in-range citations, and no quote but an optional pair around the
+whole name) is added into per-journal numpy arrays, so Python work is per new
+journal rather than per row.  Any other record (a blank line, a bad field, a
+rejected row, a quote elsewhere, a quoted field spanning lines) goes through
+the ``csv`` row loop on its own, in line order, with the same counters and
+line numbers, so every error and warning comes from that loop; then the
+chunked stage goes on after it.  The acceptance gate times this parse of a
+million rows with ``tracemalloc`` on, which charges every Python object, so
+the chunked stage is what keeps it within its bound.
+
+``_CHUNK_BYTES``, the input reader and the row loop stay in
+:mod:`volatix.ingest`, which the ``csv``-only read shares; this module looks
+the chunk size and the row loop up there on each call, so there is one of
+each.
+
+Importing this module sets two of glibc's malloc thresholds for the
+importing process: blocks under 4 MiB come from the heap rather than
+``mmap``, and up to 8 MiB of free memory at the top of the heap is kept
+rather than returned.  By default glibc raises both as large blocks are
+freed, so whether each chunk's numpy temporaries stayed in the heap, or went
+back to the OS and were faulted in again, hung on the size of the first chunk
+and on whatever was allocated before it: between 7e3 and 4e4 page faults
+for one parse of 1e6 plain rows.  Off Linux with glibc, nothing is set.
+"""
+
+from __future__ import annotations
+
+import bisect
+import csv
+import os
+import sys
+
+import numpy as np
+
+from . import ingest
+from .ingest import CleaningLog, _csv_error, _InputReader
+from .metrics import MAX_CITATIONS, ItemType
+
+# The longest journal_id of a plain line, so that no key is wider.
+_MAX_ID_BYTES = 64
+_ITEM_TYPES = tuple((kind.value.encode("ascii"), kind.citable) for kind in ItemType)
+_MAX_DIGITS = len(str(MAX_CITATIONS))
+_DIGIT_WEIGHTS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
+_LF, _CR, _COMMA, _QUOTE, _ZERO = b'\n\r,"0'
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8")  # the first n bytes
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _pin_malloc_thresholds() -> None:
+    """Set glibc's mmap threshold to 4 MiB and its trim threshold to 8 MiB,
+    which also stops glibc from moving them; elsewhere, do nothing."""
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ImportError, OSError, ValueError):  # not glibc, or no ctypes
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+
+
+_pin_malloc_thresholds()
+
+
+class _Records:
+    """The records of the csv.reader ``rows`` over ``src`` that start before
+    offset ``end`` of its buffer, as a csv.reader.  A read into a new buffer
+    (see _InputReader.more) moves the offsets, and ends the records too."""
+
+    def __init__(self, rows, src: _InputReader, end: int):
+        self._rows, self._src, self._data, self._end = rows, src, src.data, end
+
+    def __iter__(self):
+        while self._src.data is self._data and self._src.pos < self._end:
+            row = next(self._rows, None)
+            if row is None:
+                return
+            yield row
+
+    @property
+    def line_num(self) -> int:
+        return self._rows.line_num
+
+
+def _csv_records(src: _InputReader, end: int, first_line: int, acc: dict, log) -> int:
+    """Parse the records of ``src`` from ``pos`` that start before offset
+    ``end`` of its buffer with the csv row loop; ``first_line`` lines precede
+    them.  Returns the lines csv read."""
+    rows = csv.reader(src.lines(end))
+    try:
+        ingest._parse_paper_rows(_Records(rows, src, end), first_line, acc, log)
+    except csv.Error as exc:
+        raise _csv_error(exc, rows, first_line) from None
+    return rows.line_num
+
+
+class _Slots:
+    """Citable totals, tops and counts of the lines the chunked stage takes,
+    in int64 arrays indexed by journal slot.
+
+    A sorted index per key type (see _id_keys) maps keys to slots.  A key not
+    in it costs Python work once: :meth:`slot` gives its journal_id's slot,
+    or a new one.  A new journal enters ``acc``, the row loop's journal_id ->
+    [name, total, top, n_citable], unless the row loop put it there first;
+    :meth:`fold` adds the arrays into ``acc`` at the end.
+    """
+
+    def __init__(self, acc: dict):
+        self.acc = acc
+        self.slots: dict[str, int] = {}  # journal_id -> slot
+        # key dtype kind -> (sorted keys, their slots)
+        self.index = {np.dtype(t).kind: (np.zeros(0, t), np.zeros(0, np.intp)) for t in ("<u8", "S1")}
+        self.sums = np.zeros((3, 64), dtype=np.int64)  # total, top, n_citable
+
+    def lookup(self, keys):
+        """The slot of each key, -1 for a key not in the index."""
+        known, slots = self.index[keys.dtype.kind]
+        at = np.searchsorted(known, keys)
+        found = at < len(known)
+        found[found] = known[at[found]] == keys[found]
+        out = np.full(len(keys), -1, dtype=np.intp)
+        out[found] = slots[at[found]]
+        return out
+
+    def insert(self, keys, slots) -> None:
+        """Index ``keys``, sorted and new to the index, at ``slots``."""
+        known, known_slots = self.index[keys.dtype.kind]
+        at = np.searchsorted(known, keys)
+        known = known.astype(np.promote_types(known.dtype, keys.dtype), copy=False)
+        self.index[keys.dtype.kind] = np.insert(known, at, keys), np.insert(known_slots, at, slots)
+
+    def slot(self, journal_id: str, name: str) -> int:
+        """The slot of ``journal_id``; a new journal is named ``name``."""
+        slot = self.slots.get(journal_id)
+        if slot is None:
+            slot = self.slots[journal_id] = len(self.slots)
+            self.acc.setdefault(journal_id, [name, 0, 0, 0])
+            if slot == self.sums.shape[1]:
+                self.sums = np.concatenate((self.sums, np.zeros_like(self.sums)), axis=1)
+        return slot
+
+    def add(self, slots, heads, citations, citable, log: CleaningLog) -> None:
+        """Add lines that come in runs of one slot each, starting at ``heads``."""
+        kept = np.where(citable, citations, 0)
+        read = int(citations.sum())
+        log.rows_read += len(citations)
+        log.citations_read += read
+        log.citations_removed += read - int(kept.sum())
+        np.add.at(self.sums[0], slots, np.add.reduceat(kept, heads))
+        np.maximum.at(self.sums[1], slots, np.maximum.reduceat(kept, heads))
+        np.add.at(self.sums[2], slots, np.add.reduceat(citable, heads, dtype=np.int64))
+
+    def fold(self) -> None:
+        """Add the arrays into ``acc``."""
+        for journal_id, total, top, n in zip(self.slots, *self.sums.tolist()):
+            entry = self.acc[journal_id]
+            entry[1] += total
+            entry[2] = max(entry[2], top)
+            entry[3] += n
+
+
+# The chunked parse is split into small functions on purpose: under
+# tracemalloc each allocation looks up its line number by scanning the line
+# table of the function it happens in, so allocating late in a long function
+# costs more.
+
+
+class _Chunk:
+    """Whole Schema-A lines, each ending in ``\\n``, parsed with numpy.
+
+    A plain line is one that csv and the row loop of :func:`_parse_paper_rows`
+    take the same way, without a warning (see _five_fields).  The chunk keeps
+    where each line ends, and for its plain lines, in runs of one key, their
+    counts and journal slots, found in the index or still to be given.
+    """
+
+    def __init__(self, data: bytes, table: _Slots):
+        self.data = data
+        b = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(b == _LF) + 1  # one past each line's end
+        starts = np.concatenate(([0], ends[:-1]))
+        lines, fields, quoted, self.citations, self.citable = _plain_lines(data, b, starts, ends)
+        self.lines, self.n_lines = lines, len(ends)
+        self.odd_runs = _odd_runs(lines, starts, ends)
+        keys = _id_keys(b, starts[lines], fields[:, 0])
+        run_start = np.ones(len(keys), dtype=bool)
+        run_start[1:] = keys[1:] != keys[:-1]
+        self.heads = np.flatnonzero(run_start)
+        self.slots = table.lookup(keys[self.heads])
+        # The runs whose key is not in the index; register finds their slots.
+        self.unknown = np.flatnonzero(self.slots < 0)  # into heads
+        at = self.heads[self.unknown]  # into lines
+        self.unknown_keys, self.unknown_lines = keys[at], lines[at].tolist()
+        id_end, quoted = fields[at, 0], quoted[at]
+        bounds = (starts[lines[at]], id_end, id_end + 1 + quoted, fields[at, 1] - quoted)
+        self.unknown_bounds = np.stack(bounds, axis=1).tolist()
+        self.unknown_slots: list[int] = []
+
+    def register(self, table: _Slots, before: int) -> None:
+        """Find the slots, in line order, of the runs whose key is not in the
+        index and that start before line ``before``."""
+        stop = bisect.bisect_left(self.unknown_lines, before)
+        for start, id_end, name_start, name_end in self.unknown_bounds[len(self.unknown_slots) : stop]:
+            journal_id = self.data[start:id_end].decode("utf-8")
+            name = self.data[name_start:name_end].decode("utf-8")
+            self.unknown_slots.append(table.slot(journal_id, name))
+
+    def add(self, table: _Slots, before: int, log: CleaningLog) -> int:
+        """Add the plain lines before line ``before`` into ``table``; returns
+        how many there are."""
+        self.register(table, before)
+        n = int(np.searchsorted(self.lines, before))
+        if n == 0:
+            return 0
+        if self.unknown_slots:
+            found = len(self.unknown_slots)
+            self.slots[self.unknown[:found]] = self.unknown_slots
+            keys, first = np.unique(self.unknown_keys[:found], return_index=True)
+            table.insert(keys, self.slots[self.unknown[first]])
+        runs = int(np.searchsorted(self.heads, n))
+        table.add(self.slots[:runs], self.heads[:runs], self.citations[:n], self.citable[:n], log)
+        return n
+
+
+def _odd_runs(lines, starts, ends) -> list:
+    """The runs of lines not in ``lines``: the first line of each, the offsets
+    where it starts and ends, and the number of ``lines`` before it."""
+    if len(lines) == len(ends):
+        return []
+    odd = np.ones(len(ends), dtype=bool)
+    odd[lines] = False
+    odd = np.flatnonzero(odd)
+    run = np.flatnonzero(np.diff(odd, prepend=-2) != 1)  # into odd
+    first, last = odd[run], odd[np.flatnonzero(np.diff(odd, append=len(ends) + 1) != 1)]
+    return list(zip(first.tolist(), starts[first].tolist(), ends[last].tolist(), (first - run).tolist()))
+
+
+def _plain_lines(data: bytes, b, starts, ends):
+    """The plain lines among those from ``starts`` to just before ``ends``:
+    their indices, fields and quoted flags (see _five_fields), citations and
+    citable flags."""
+    stops = ends - 1 - (b[ends - 2] == _CR)  # without the line break
+    lines, fields, quoted, plain = _five_fields(data, b, starts, ends, stops)
+    citations, citable, ok = _citations_and_types(b, fields, stops[lines])
+    found = lines, fields, quoted, citations, citable
+    ok &= plain
+    return found if ok.all() else tuple(array[ok] for array in found)
+
+
+def _five_fields(data: bytes, b, starts, ends, stops):
+    """The lines that have five fields at their first and last three commas:
+    their indices, those commas (shape (n, 4)), whether the name is quoted
+    and whether csv splits the line there too.
+
+    Such a line has no NUL or bare ``\\r``, is not blank and is no longer than
+    csv's field size limit.  csv splits it there, and it is kept, if it has a
+    journal_id of at most _MAX_ID_BYTES and either has four commas and no
+    ``"``, or its only two ``"`` quote the name: one is right after the first
+    comma and one right before the third-from-last comma, which is not the
+    first, so a comma in the name is part of it.
+    """
+    commas = np.flatnonzero(b == _COMMA)
+    last = np.searchsorted(commas, ends)
+    first = np.concatenate(([0], last[:-1]))
+    lengths = stops - starts
+    ok = (last - first >= 4) & (lengths > 0) & (lengths <= csv.field_size_limit())
+    cr = np.flatnonzero(b == _CR)
+    ok[np.searchsorted(ends, cr[b[cr + 1] != _LF], side="right")] = False
+    if b"\0" in data:
+        ok[np.searchsorted(ends, np.flatnonzero(b == 0), side="right")] = False
+    lines = np.flatnonzero(ok)
+    first, last = first[lines], last[lines]
+    fields = commas[np.stack((first, last - 3, last - 2, last - 1), axis=1)]
+    plain = last - first == 4
+    quoted = np.zeros(len(lines), dtype=bool)
+    if b'"' in data:
+        quotes = np.diff(np.searchsorted(np.flatnonzero(b == _QUOTE), ends), prepend=0)[lines]
+        opening, closing = fields[:, 0] + 1, fields[:, 1] - 1
+        quoted = (quotes == 2) & (closing > opening)
+        quoted &= (b[opening] == _QUOTE) & (b[closing] == _QUOTE)
+        plain = quoted | plain & (quotes == 0)
+    plain &= fields[:, 0] - starts[lines] <= _MAX_ID_BYTES
+    return lines, fields, quoted, plain
+
+
+def _citations_and_types(b, fields, stops):
+    """Citations and citable flags of lines split at ``fields``, and which of
+    them have an item type spelled exactly and 1-10 ASCII digits of citations
+    in range."""
+    n = len(fields)
+    # Item types: the length picks the candidate, then every byte must match.
+    type_start = fields[:, 2] + 1
+    type_len = fields[:, 3] - type_start
+    known = np.zeros(n, dtype=bool)
+    citable = np.zeros(n, dtype=bool)
+    for token, is_citable in _ITEM_TYPES:
+        rows = np.flatnonzero(type_len == len(token))
+        spelled = b[type_start[rows, None] + np.arange(len(token))]
+        rows = rows[(spelled == np.frombuffer(token, dtype=np.uint8)).all(axis=1)]
+        known[rows] = True
+        citable[rows] = is_citable
+    # Citations: the last _MAX_DIGITS bytes of each line, right-aligned.
+    digit_pos = stops[:, None] + np.arange(-_MAX_DIGITS, 0)
+    in_field = digit_pos > fields[:, 3:4]
+    digits = np.where(in_field, b[np.maximum(digit_pos, 0)] - _ZERO, 0)
+    n_digits = stops - fields[:, 3] - 1
+    citations = digits @ _DIGIT_WEIGHTS
+    ok = (
+        known
+        & (n_digits >= 1)
+        & (n_digits <= _MAX_DIGITS)
+        & (digits <= 9).all(axis=1)
+        & (citations <= MAX_CITATIONS)
+    )
+    return citations, citable, ok
+
+
+def _id_keys(b, starts, ends):
+    """A key for each journal_id ``b[start:end]``: a uint64 if none is longer
+    than 8 bytes, else fixed-width ``S`` bytes.  Plain lines hold no NUL and
+    go on for at least 8 bytes from their start, so zeroing the bytes past
+    the id keeps the keys of different ids apart."""
+    lengths = ends - starts
+    width = int(lengths.max(initial=0))
+    if width <= 8:
+        return b[starts[:, None] + np.arange(8)].view("<u8")[:, 0] & _KEY_MASKS[lengths]
+    ids = b[np.minimum(starts[:, None] + np.arange(width), len(b) - 1)]
+    ids[np.arange(width) >= lengths[:, None]] = 0
+    return ids.view(f"S{width}")[:, 0]
+
+
+def _take_lines(src: _InputReader, cut: int, taken: int, table: _Slots, log) -> int:
+    """Take the lines of ``src.data[src.pos:cut]`` in order: plain ones into
+    ``table``, and each run of other lines through the csv row loop.
+
+    ``taken`` lines were taken before; returns that count now.  If a quoted
+    field goes on past a run, csv reads the rest of the lines too, and
+    ``src.pos`` ends past them, in ``src.data`` as it is then.
+    """
+    base, data = src.pos, src.data
+    chunk = _Chunk(data[base:cut], table)
+    read = 0  # lines csv read
+    for first, start, end, plain_before in chunk.odd_runs:
+        chunk.register(table, before=first)
+        src.pos = base + start
+        read += _csv_records(src, base + end, taken + plain_before + read, table.acc, log)
+        if src.data is not data or src.pos > base + end:
+            if src.data is data:  # else the field went on past the lines too
+                read += _csv_records(src, cut, taken + plain_before + read, table.acc, log)
+            return taken + chunk.add(table, first, log) + read
+    src.pos = cut
+    return taken + chunk.add(table, chunk.n_lines, log) + read
+
+
+def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
+    """Parse the input as Schema A in chunks, from ``src.pos``, just after a
+    header spelled exactly as PAPER_HEADER.
+
+    A chunk is read only once every whole line read before it is taken, so a
+    line before an invalid byte is parsed before the byte raises.
+    """
+    table = _Slots(acc)
+    taken = 1  # lines taken, the header included
+    while True:
+        cut = src.data.rfind(b"\n") + 1
+        if cut > src.pos:
+            taken = _take_lines(src, cut, taken, table, log)
+        elif len(src.data) - src.pos >= ingest._CHUNK_BYTES:  # a line longer than a chunk
+            taken += _csv_records(src, len(src.data), taken, acc, log)
+        elif not src.more(ingest._CHUNK_BYTES):
+            break
+    # What is left has no newline: a last line, or records that end at "\r".
+    _csv_records(src, len(src.data), taken, acc, log)
+    table.fold()

@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import analytics, ingest, metrics, synthgen
+from . import analytics, ingest, metrics
 from .display import MAX_DIGITS, decimal_str, exact_str, parse_int, parse_rational, percent_str
 from .errors import InvalidNumberError, VolatixError
 
@@ -122,6 +122,8 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synthgen  # it imports numpy, which the other commands do without
+
     config = synthgen.SynthConfig.from_json_file(args.config)
     if args.seed is not None:
         config = synthgen.SynthConfig.from_dict(

@@ -22,9 +22,11 @@ when a schema is named.
 
 Parsing is a single pass with memory proportional to the number of journals,
 never the number of rows.  Cleaning mirrors the usual report hygiene:
-duplicate journal ids are collapsed (first occurrence wins), journals with
-zero or unavailable citation output are dropped, and single-paper journals
-are kept but flagged, since their top-paper decomposition is undefined.
+Schema-B rows that repeat a journal id are collapsed (first occurrence wins),
+journals with zero or unavailable citation output are dropped, and
+single-paper journals are kept but flagged, since their top-paper
+decomposition is undefined.  Schema A does not check repeats: a repeated
+paper_id is summed twice, and a journal_id keeps its first journal_name.
 Nothing is dropped silently: every removal lands in the CleaningLog, and the
 citation totals reconcile exactly (``citations_read == citations_kept +
 citations_removed``).
@@ -48,25 +50,15 @@ the byte's 0-based offset in the file.  ``csv`` reads the header line of
 either schema.
 
 Schema A is parsed in two stages, and only the input picks between them.
-After a header spelled exactly as PAPER_HEADER, the input is read in chunks
-of about 128 KiB, and numpy parses the lines of each.  A plain line (five
-fields, a journal_id of at most 64 bytes, an item type spelled exactly, 1-10
-ASCII digits of in-range citations, and no quote but an optional pair around
-the whole name) is added
-into per-journal numpy arrays, so Python work is per new journal rather than
-per row.  Any other record (a blank line, a bad field, a rejected row, a
-quote elsewhere, a quoted field spanning lines) goes through the ``csv`` row
-loop on its own, in line order, with the same counters and line numbers, so
-every error and warning comes from that loop; then the chunked stage goes on
-after it.  A header that only ``csv`` reads (a quoted one, say) sends the
-whole file there.  The acceptance gate times this parse of a million rows
-with ``tracemalloc`` on, which charges every Python object, so the chunked
-stage is what keeps it within its bound.
+After a header spelled exactly as PAPER_HEADER, the chunked stage of
+:mod:`volatix._chunked` parses plain lines with numpy and sends every other
+record through the ``csv`` row loop here, in line order.  That module, and
+numpy with it, is imported only then.  A header that only ``csv`` reads (a
+quoted one, say) sends the whole file through the row loop.
 """
 
 from __future__ import annotations
 
-import bisect
 import codecs
 import contextlib
 import csv
@@ -79,8 +71,6 @@ import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
-
-import numpy as np
 
 from .errors import InvalidAggregateError, MalformedRowError
 from .metrics import MAX_CITATIONS, ItemType, JournalAggregate, PaperRecord
@@ -256,12 +246,7 @@ def _header(src: _InputReader, expected: Optional[str] = None) -> tuple[str, boo
     empty input is that schema with no rows; otherwise a header of neither
     schema, or none, raises ``unrecognized header``.
     """
-    # The first read is two chunks.  glibc's malloc keeps freed heap for reuse
-    # up to a size it raises to twice the largest block freed so far.  After a
-    # first parse of only one chunk's lines that size stays small, and each
-    # later chunk's numpy temporaries go back to the OS and are faulted in
-    # again: 5e4 more page faults and about 0.15 s per 1e6 rows.
-    src.more(2 * _CHUNK_BYTES)
+    src.more(_CHUNK_BYTES)
     rows = csv.reader(src.lines())
     try:
         header = next(rows, None)
@@ -290,332 +275,14 @@ def _parse_count(value: str, line: int, column: str) -> int:
     )
 
 
-# Bytes per read of the chunked Schema-A parse.  Its numpy temporaries are a
-# few times this, so it is kept small next to the CLI's resident memory.
+# Bytes per read of the input reader and of the chunked Schema-A stage (see
+# volatix._chunked).  Its numpy temporaries are a few times this, so it is
+# kept small next to the CLI's resident memory.
 _CHUNK_BYTES = 128 * 1024
-# The longest journal_id of a plain line, so that no key is wider.
-_MAX_ID_BYTES = 64
 _PAPER_HEADER_LINES = tuple(
     ",".join(PAPER_HEADER).encode("ascii") + end for end in (b"\n", b"\r\n")
 )
-_ITEM_TYPES = tuple((kind.value.encode("ascii"), kind.citable) for kind in ItemType)
-_MAX_DIGITS = len(str(MAX_CITATIONS))
-_DIGIT_WEIGHTS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
-_LF, _CR, _COMMA, _QUOTE, _ZERO = b'\n\r,"0'
-_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8")  # the first n bytes
 _ITEM_KINDS = {kind.value: kind for kind in ItemType}
-
-
-class _Records:
-    """The records of the csv.reader ``rows`` over ``src`` that start before
-    offset ``end`` of its buffer, as a csv.reader.  A read into a new buffer
-    (see _InputReader.more) moves the offsets, and ends the records too."""
-
-    def __init__(self, rows, src: _InputReader, end: int):
-        self._rows, self._src, self._data, self._end = rows, src, src.data, end
-
-    def __iter__(self):
-        while self._src.data is self._data and self._src.pos < self._end:
-            row = next(self._rows, None)
-            if row is None:
-                return
-            yield row
-
-    @property
-    def line_num(self) -> int:
-        return self._rows.line_num
-
-
-def _csv_records(src: _InputReader, end: int, first_line: int, acc: dict, log) -> int:
-    """Parse the records of ``src`` from ``pos`` that start before offset
-    ``end`` of its buffer with the csv row loop; ``first_line`` lines precede
-    them.  Returns the lines csv read."""
-    rows = csv.reader(src.lines(end))
-    try:
-        _parse_paper_rows(_Records(rows, src, end), first_line, acc, log)
-    except csv.Error as exc:
-        raise _csv_error(exc, rows, first_line) from None
-    return rows.line_num
-
-
-class _Slots:
-    """Citable totals, tops and counts of the lines the chunked stage takes,
-    in int64 arrays indexed by journal slot.
-
-    A sorted index per key type (see _id_keys) maps keys to slots.  A key not
-    in it costs Python work once: :meth:`slot` gives its journal_id's slot,
-    or a new one.  A new journal enters ``acc``, the row loop's journal_id ->
-    [name, total, top, n_citable], unless the row loop put it there first;
-    :meth:`fold` adds the arrays into ``acc`` at the end.
-    """
-
-    def __init__(self, acc: dict):
-        self.acc = acc
-        self.slots: dict[str, int] = {}  # journal_id -> slot
-        # key dtype kind -> (sorted keys, their slots)
-        self.index = {np.dtype(t).kind: (np.zeros(0, t), np.zeros(0, np.intp)) for t in ("<u8", "S1")}
-        self.sums = np.zeros((3, 64), dtype=np.int64)  # total, top, n_citable
-
-    def lookup(self, keys):
-        """The slot of each key, -1 for a key not in the index."""
-        known, slots = self.index[keys.dtype.kind]
-        at = np.searchsorted(known, keys)
-        found = at < len(known)
-        found[found] = known[at[found]] == keys[found]
-        out = np.full(len(keys), -1, dtype=np.intp)
-        out[found] = slots[at[found]]
-        return out
-
-    def insert(self, keys, slots) -> None:
-        """Index ``keys``, sorted and new to the index, at ``slots``."""
-        known, known_slots = self.index[keys.dtype.kind]
-        at = np.searchsorted(known, keys)
-        known = known.astype(np.promote_types(known.dtype, keys.dtype), copy=False)
-        self.index[keys.dtype.kind] = np.insert(known, at, keys), np.insert(known_slots, at, slots)
-
-    def slot(self, journal_id: str, name: str) -> int:
-        """The slot of ``journal_id``; a new journal is named ``name``."""
-        slot = self.slots.get(journal_id)
-        if slot is None:
-            slot = self.slots[journal_id] = len(self.slots)
-            self.acc.setdefault(journal_id, [name, 0, 0, 0])
-            if slot == self.sums.shape[1]:
-                self.sums = np.concatenate((self.sums, np.zeros_like(self.sums)), axis=1)
-        return slot
-
-    def add(self, slots, heads, citations, citable, log: CleaningLog) -> None:
-        """Add lines that come in runs of one slot each, starting at ``heads``."""
-        kept = np.where(citable, citations, 0)
-        read = int(citations.sum())
-        log.rows_read += len(citations)
-        log.citations_read += read
-        log.citations_removed += read - int(kept.sum())
-        np.add.at(self.sums[0], slots, np.add.reduceat(kept, heads))
-        np.maximum.at(self.sums[1], slots, np.maximum.reduceat(kept, heads))
-        np.add.at(self.sums[2], slots, np.add.reduceat(citable, heads, dtype=np.int64))
-
-    def fold(self) -> None:
-        """Add the arrays into ``acc``."""
-        for journal_id, total, top, n in zip(self.slots, *self.sums.tolist()):
-            entry = self.acc[journal_id]
-            entry[1] += total
-            entry[2] = max(entry[2], top)
-            entry[3] += n
-
-
-# The chunked parse is split into small functions on purpose: under
-# tracemalloc each allocation looks up its line number by scanning the line
-# table of the function it happens in, so allocating late in a long function
-# costs more.
-
-
-class _Chunk:
-    """Whole Schema-A lines, each ending in ``\\n``, parsed with numpy.
-
-    A plain line is one that csv and the row loop of :func:`_parse_paper_rows`
-    take the same way, without a warning (see _five_fields).  The chunk keeps
-    where each line ends, and for its plain lines, in runs of one key, their
-    counts and journal slots, found in the index or still to be given.
-    """
-
-    def __init__(self, data: bytes, table: _Slots):
-        self.data = data
-        b = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(b == _LF) + 1  # one past each line's end
-        starts = np.concatenate(([0], ends[:-1]))
-        lines, fields, quoted, self.citations, self.citable = _plain_lines(data, b, starts, ends)
-        self.lines, self.n_lines = lines, len(ends)
-        self.odd_runs = _odd_runs(lines, starts, ends)
-        keys = _id_keys(b, starts[lines], fields[:, 0])
-        run_start = np.ones(len(keys), dtype=bool)
-        run_start[1:] = keys[1:] != keys[:-1]
-        self.heads = np.flatnonzero(run_start)
-        self.slots = table.lookup(keys[self.heads])
-        # The runs whose key is not in the index; register finds their slots.
-        self.unknown = np.flatnonzero(self.slots < 0)  # into heads
-        at = self.heads[self.unknown]  # into lines
-        self.unknown_keys, self.unknown_lines = keys[at], lines[at].tolist()
-        id_end, quoted = fields[at, 0], quoted[at]
-        bounds = (starts[lines[at]], id_end, id_end + 1 + quoted, fields[at, 1] - quoted)
-        self.unknown_bounds = np.stack(bounds, axis=1).tolist()
-        self.unknown_slots: list[int] = []
-
-    def register(self, table: _Slots, before: int) -> None:
-        """Find the slots, in line order, of the runs whose key is not in the
-        index and that start before line ``before``."""
-        stop = bisect.bisect_left(self.unknown_lines, before)
-        for start, id_end, name_start, name_end in self.unknown_bounds[len(self.unknown_slots) : stop]:
-            journal_id = self.data[start:id_end].decode("utf-8")
-            name = self.data[name_start:name_end].decode("utf-8")
-            self.unknown_slots.append(table.slot(journal_id, name))
-
-    def add(self, table: _Slots, before: int, log: CleaningLog) -> int:
-        """Add the plain lines before line ``before`` into ``table``; returns
-        how many there are."""
-        self.register(table, before)
-        n = int(np.searchsorted(self.lines, before))
-        if n == 0:
-            return 0
-        if self.unknown_slots:
-            found = len(self.unknown_slots)
-            self.slots[self.unknown[:found]] = self.unknown_slots
-            keys, first = np.unique(self.unknown_keys[:found], return_index=True)
-            table.insert(keys, self.slots[self.unknown[first]])
-        runs = int(np.searchsorted(self.heads, n))
-        table.add(self.slots[:runs], self.heads[:runs], self.citations[:n], self.citable[:n], log)
-        return n
-
-
-def _odd_runs(lines, starts, ends) -> list:
-    """The runs of lines not in ``lines``: the first line of each, the offsets
-    where it starts and ends, and the number of ``lines`` before it."""
-    if len(lines) == len(ends):
-        return []
-    odd = np.ones(len(ends), dtype=bool)
-    odd[lines] = False
-    odd = np.flatnonzero(odd)
-    run = np.flatnonzero(np.diff(odd, prepend=-2) != 1)  # into odd
-    first, last = odd[run], odd[np.flatnonzero(np.diff(odd, append=len(ends) + 1) != 1)]
-    return list(zip(first.tolist(), starts[first].tolist(), ends[last].tolist(), (first - run).tolist()))
-
-
-def _plain_lines(data: bytes, b, starts, ends):
-    """The plain lines among those from ``starts`` to just before ``ends``:
-    their indices, fields and quoted flags (see _five_fields), citations and
-    citable flags."""
-    stops = ends - 1 - (b[ends - 2] == _CR)  # without the line break
-    lines, fields, quoted, plain = _five_fields(data, b, starts, ends, stops)
-    citations, citable, ok = _citations_and_types(b, fields, stops[lines])
-    found = lines, fields, quoted, citations, citable
-    ok &= plain
-    return found if ok.all() else tuple(array[ok] for array in found)
-
-
-def _five_fields(data: bytes, b, starts, ends, stops):
-    """The lines that have five fields at their first and last three commas:
-    their indices, those commas (shape (n, 4)), whether the name is quoted
-    and whether csv splits the line there too.
-
-    Such a line has no NUL or bare ``\\r``, is not blank and is no longer than
-    csv's field size limit.  csv splits it there, and it is kept, if it has a
-    journal_id of at most _MAX_ID_BYTES and either has four commas and no
-    ``"``, or its only two ``"`` quote the name: one is right after the first
-    comma and one right before the third-from-last comma, which is not the
-    first, so a comma in the name is part of it.
-    """
-    commas = np.flatnonzero(b == _COMMA)
-    last = np.searchsorted(commas, ends)
-    first = np.concatenate(([0], last[:-1]))
-    lengths = stops - starts
-    ok = (last - first >= 4) & (lengths > 0) & (lengths <= csv.field_size_limit())
-    cr = np.flatnonzero(b == _CR)
-    ok[np.searchsorted(ends, cr[b[cr + 1] != _LF], side="right")] = False
-    if b"\0" in data:
-        ok[np.searchsorted(ends, np.flatnonzero(b == 0), side="right")] = False
-    lines = np.flatnonzero(ok)
-    first, last = first[lines], last[lines]
-    fields = commas[np.stack((first, last - 3, last - 2, last - 1), axis=1)]
-    plain = last - first == 4
-    quoted = np.zeros(len(lines), dtype=bool)
-    if b'"' in data:
-        quotes = np.diff(np.searchsorted(np.flatnonzero(b == _QUOTE), ends), prepend=0)[lines]
-        opening, closing = fields[:, 0] + 1, fields[:, 1] - 1
-        quoted = (quotes == 2) & (closing > opening)
-        quoted &= (b[opening] == _QUOTE) & (b[closing] == _QUOTE)
-        plain = quoted | plain & (quotes == 0)
-    plain &= fields[:, 0] - starts[lines] <= _MAX_ID_BYTES
-    return lines, fields, quoted, plain
-
-
-def _citations_and_types(b, fields, stops):
-    """Citations and citable flags of lines split at ``fields``, and which of
-    them have an item type spelled exactly and 1-10 ASCII digits of citations
-    in range."""
-    n = len(fields)
-    # Item types: the length picks the candidate, then every byte must match.
-    type_start = fields[:, 2] + 1
-    type_len = fields[:, 3] - type_start
-    known = np.zeros(n, dtype=bool)
-    citable = np.zeros(n, dtype=bool)
-    for token, is_citable in _ITEM_TYPES:
-        rows = np.flatnonzero(type_len == len(token))
-        spelled = b[type_start[rows, None] + np.arange(len(token))]
-        rows = rows[(spelled == np.frombuffer(token, dtype=np.uint8)).all(axis=1)]
-        known[rows] = True
-        citable[rows] = is_citable
-    # Citations: the last _MAX_DIGITS bytes of each line, right-aligned.
-    digit_pos = stops[:, None] + np.arange(-_MAX_DIGITS, 0)
-    in_field = digit_pos > fields[:, 3:4]
-    digits = np.where(in_field, b[np.maximum(digit_pos, 0)] - _ZERO, 0)
-    n_digits = stops - fields[:, 3] - 1
-    citations = digits @ _DIGIT_WEIGHTS
-    ok = (
-        known
-        & (n_digits >= 1)
-        & (n_digits <= _MAX_DIGITS)
-        & (digits <= 9).all(axis=1)
-        & (citations <= MAX_CITATIONS)
-    )
-    return citations, citable, ok
-
-
-def _id_keys(b, starts, ends):
-    """A key for each journal_id ``b[start:end]``: a uint64 if none is longer
-    than 8 bytes, else fixed-width ``S`` bytes.  Plain lines hold no NUL and
-    go on for at least 8 bytes from their start, so zeroing the bytes past
-    the id keeps the keys of different ids apart."""
-    lengths = ends - starts
-    width = int(lengths.max(initial=0))
-    if width <= 8:
-        return b[starts[:, None] + np.arange(8)].view("<u8")[:, 0] & _KEY_MASKS[lengths]
-    ids = b[np.minimum(starts[:, None] + np.arange(width), len(b) - 1)]
-    ids[np.arange(width) >= lengths[:, None]] = 0
-    return ids.view(f"S{width}")[:, 0]
-
-
-def _take_lines(src: _InputReader, cut: int, taken: int, table: _Slots, log) -> int:
-    """Take the lines of ``src.data[src.pos:cut]`` in order: plain ones into
-    ``table``, and each run of other lines through the csv row loop.
-
-    ``taken`` lines were taken before; returns that count now.  If a quoted
-    field goes on past a run, csv reads the rest of the lines too, and
-    ``src.pos`` ends past them, in ``src.data`` as it is then.
-    """
-    base, data = src.pos, src.data
-    chunk = _Chunk(data[base:cut], table)
-    read = 0  # lines csv read
-    for first, start, end, plain_before in chunk.odd_runs:
-        chunk.register(table, before=first)
-        src.pos = base + start
-        read += _csv_records(src, base + end, taken + plain_before + read, table.acc, log)
-        if src.data is not data or src.pos > base + end:
-            if src.data is data:  # else the field went on past the lines too
-                read += _csv_records(src, cut, taken + plain_before + read, table.acc, log)
-            return taken + chunk.add(table, first, log) + read
-    src.pos = cut
-    return taken + chunk.add(table, chunk.n_lines, log) + read
-
-
-def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
-    """Parse the input as Schema A in chunks, from ``src.pos``, just after a
-    header spelled exactly as PAPER_HEADER.
-
-    A chunk is read only once every whole line read before it is taken, so a
-    line before an invalid byte is parsed before the byte raises.
-    """
-    table = _Slots(acc)
-    taken = 1  # lines taken, the header included
-    while True:
-        cut = src.data.rfind(b"\n") + 1
-        if cut > src.pos:
-            taken = _take_lines(src, cut, taken, table, log)
-        elif len(src.data) - src.pos >= _CHUNK_BYTES:  # a line longer than a chunk
-            taken += _csv_records(src, len(src.data), taken, acc, log)
-        elif not src.more(_CHUNK_BYTES):
-            break
-    # What is left has no newline: a last line, or records that end at "\r".
-    _csv_records(src, len(src.data), taken, acc, log)
-    table.fold()
 
 
 def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> None:
@@ -669,7 +336,7 @@ def parse_paper_level(source: Source):
     The input picks the stage: after an exact plain header, plain lines are
     parsed in numpy chunks and every other record by ``csv``, one at a time,
     in line order; after any other header (a quoted one, say) ``csv`` reads
-    every row (see the module docstring).  Both stages read the input's one
+    every row (see :mod:`volatix._chunked`).  Both stages read the input's one
     reader, so results, errors and warnings are the same either way.
     """
     return _parse(source, "papers")
@@ -730,6 +397,8 @@ def _parse(source: Source, schema: Optional[str] = None):
         src = _InputReader(raw)
         schema, exact = _header(src, schema)
         if exact:
+            from ._chunked import _parse_chunked  # it imports numpy, which Schema B does without
+
             _parse_chunked(src, acc, log)
         else:
             rows = csv.reader(src.lines())

@@ -272,6 +272,12 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("bad synth config: must be a JSON object")
+        names = {field.name for field in fields(cls)}
+        missing = sorted(names - set(data))
+        if missing:
+            raise ConfigError(f"bad synth config: missing keys {missing}")
         try:
             size_spec = dict(data["size_model"])
             cite_spec = dict(data["citation_model"])
@@ -283,11 +289,11 @@ class SynthConfig:
                 citation_model=cite_cls(**cite_spec),
                 seed=data["seed"],
             )
-            unknown = sorted(set(data) - {field.name for field in fields(cls)})
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:  # ValueError: dict("ab")
             raise ConfigError(f"bad synth config: {exc}") from exc
+        unknown = sorted(set(data) - names, key=repr)  # keys of any type, in one order
         if unknown:
             raise ConfigError(f"bad synth config: unknown keys {unknown}")
         return config

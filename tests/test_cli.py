@@ -298,6 +298,14 @@ class TestSynthAndScatter:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"volatix: {message}"]
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "7", "null"])
+    def test_config_not_an_object_is_one_line_error(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "synth", str(config))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["volatix: bad synth config: must be a JSON object"]
+
     def test_config_invalid_utf8_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "config.json"
         bad.write_bytes(b'{"name": "Revue \xe9conomique"}')
@@ -586,3 +594,41 @@ def test_random_argv_ends_in_status_0_1_or_2(data_dir, argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().splitlines()[-1].startswith("volatix: ")
+
+
+# Run in a fresh interpreter: which modules a command loads is the point.
+NUMPY_STEPS = """
+import contextlib, io, json, sys
+
+loaded = []
+
+def step(name, *argv):
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert volatix.cli.main(list(argv)) == 0, name
+    loaded.append([name, "numpy" in sys.modules])
+
+import volatix
+step("import volatix")
+import volatix.cli
+step("import volatix.cli")
+step("report", "report", sys.argv[1])
+step("whatif", "whatif", "--f", "16.15", "--n", "33", "--c", "209")
+step("ingest schema A", "ingest", sys.argv[2])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_schema_a(absolute_fixture, papers_sample):
+    # Only the chunked Schema-A stage and synthgen use numpy; the last step
+    # shows that the check can see numpy load.
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-c", NUMPY_STEPS]
+    argv += [str(absolute_fixture), str(papers_sample)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == [
+        ["import volatix", False],
+        ["import volatix.cli", False],
+        ["report", False],
+        ["whatif", False],
+        ["ingest schema A", True],
+    ]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volatix import ingest
+from volatix import _chunked, ingest
 from volatix.errors import MalformedRowError
 from volatix.ingest import (
     AGGREGATE_HEADER,
@@ -558,7 +558,7 @@ class TestChunkedAgainstCsv:
         raw = raw.replace(b"\r", b"\n", 1)
         expected = parse_outcome(quote_header(raw))
         reads, calls = [], []
-        more, csv_records = ingest._InputReader.more, ingest._csv_records
+        more, csv_records = ingest._InputReader.more, _chunked._csv_records
 
         def counting_more(self, size):
             reads.append(size)
@@ -569,10 +569,28 @@ class TestChunkedAgainstCsv:
             return csv_records(*args)
 
         monkeypatch.setattr(ingest._InputReader, "more", counting_more)
-        monkeypatch.setattr(ingest, "_csv_records", counting_csv_records)
+        monkeypatch.setattr(_chunked, "_csv_records", counting_csv_records)
         assert parse_outcome(raw) == expected
         assert len(reads) >= 30 and len(rows) > 1000
         assert len(calls) <= 2 * len(reads)
+
+    def test_chunk_size_is_the_one_in_ingest(self, monkeypatch):
+        # The tests above set ingest._CHUNK_BYTES for the chunked stage; a
+        # copy of it in _chunked would leave them parsing 128 KiB chunks.
+        assert not hasattr(_chunked, "_CHUNK_BYTES")
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1024)
+        rows = filler_rows(40 * 1024)
+        raw = schema_a([",".join(row) for row in rows])
+        chunks = []
+        chunk = _chunked._Chunk
+
+        def recording_chunk(data, table):
+            chunks.append(len(data))
+            return chunk(data, table)
+
+        monkeypatch.setattr(_chunked, "_Chunk", recording_chunk)
+        assert parse_outcome(raw) == parse_outcome(quote_header(raw))
+        assert len(chunks) >= 30 and max(chunks) <= 2 * 1024
 
 
 # text pieces: line ends, multibyte characters and a BOM that is data, not

@@ -102,6 +102,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             bad()
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, 2], "must be a JSON object"),
+            ("abc", "must be a JSON object"),
+            ({1: 2, "a": 1}, "missing keys ['citation_model', 'n_journals', 'seed', 'size_model']"),
+            ({**small_config().as_dict(), 1: 2, "a": 1}, "unknown keys ['a', 1]"),
+        ],
+        ids=["list", "string", "mixed-keys", "mixed-unknown-keys"],
+    )
+    def test_config_errors_name_the_fault(self, data, message):
+        with pytest.raises(ConfigError) as exc:
+            SynthConfig.from_dict(data)
+        assert str(exc.value) == f"bad synth config: {message}"
+
     def test_row_cap_message(self):
         # built only: a config past the cap must never reach a draw
         with pytest.raises(ConfigError) as exc:
@@ -414,3 +429,19 @@ class TestBinnedStats:
             clt_binned_stats([], [10])
         with pytest.raises(ConfigError):
             clt_binned_stats([], [10, 5])
+
+
+def test_package_serves_synthgen_names():
+    # volatix imports synthgen, and numpy with it, only when one of these is read
+    import volatix
+
+    names = [
+        "BinnedStats", "BinRow", "DiscreteLognormal", "FixedSizes", "LogUniformSizes",
+        "SynthConfig", "ZipfTruncated", "clt_binned_stats", "generate_corpus", "write_corpus_csv",
+    ]
+    for name in names:
+        assert getattr(volatix, name) is getattr(synthgen, name)
+        assert name in dir(volatix)
+    assert "load_corpus" in dir(volatix)
+    with pytest.raises(AttributeError, match="has no attribute 'synth_config'"):
+        getattr(volatix, "synth_config")

@@ -76,8 +76,8 @@ from .metrics import (
 
 __version__ = "0.1.0"
 
-# synthgen needs numpy, so its names load with it on first use (PEP 562);
-# every other name, and every command but ``synth``, runs without numpy.
+# synthgen imports numpy, so its names are imported on first use (PEP 562)
+# and `import volatix` does without numpy.
 _SYNTHGEN_NAMES = frozenset(
     {
         "BinnedStats",

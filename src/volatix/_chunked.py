@@ -4,9 +4,9 @@
 after a header spelled exactly as PAPER_HEADER, so every other command runs
 without numpy.  The input is then read in chunks of about ``_CHUNK_BYTES``
 (128 KiB), and numpy parses the lines of each.  A plain line (five fields, a
-journal_id of at most 64 bytes, an item type spelled exactly, 1-10 ASCII
-digits of in-range citations, and no quote but an optional pair around the
-whole name) is added into per-journal numpy arrays, so Python work is per new
+journal_id of 1-64 bytes, an item type spelled exactly, 1-10 ASCII digits
+of in-range citations, and no quote but an optional pair around the whole
+name) is added into per-journal numpy arrays, so Python work is per new
 journal rather than per row.  Any other record (a blank line, a bad field, a
 rejected row, a quote elsewhere, a quoted field spanning lines) goes through
 the ``csv`` row loop on its own, in line order, with the same counters and
@@ -27,7 +27,9 @@ rather than returned.  By default glibc raises both as large blocks are
 freed, so whether each chunk's numpy temporaries stayed in the heap, or went
 back to the OS and were faulted in again, hung on the size of the first chunk
 and on whatever was allocated before it: between 7e3 and 4e4 page faults
-for one parse of 1e6 plain rows.  Off Linux with glibc, nothing is set.
+for one parse of 1e6 plain rows.  The free heap they keep is handed back
+once, with ``malloc_trim(0)``, at the end of each parse.  Off Linux with
+glibc, nothing is set or trimmed.
 """
 
 from __future__ import annotations
@@ -54,24 +56,27 @@ _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8")  # the 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _pin_malloc_thresholds() -> None:
-    """Set glibc's mmap threshold to 4 MiB and its trim threshold to 8 MiB,
-    which also stops glibc from moving them; elsewhere, do nothing."""
+def _glibc():
+    """The C library, as a ctypes handle, on Linux with glibc; else None."""
     if not sys.platform.startswith("linux"):
-        return
+        return None
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
-            return
+            return None
         import ctypes
 
-        mallopt = ctypes.CDLL(None).mallopt
+        libc = ctypes.CDLL(None)
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.malloc_trim.argtypes = (ctypes.c_size_t,)
     except (AttributeError, ImportError, OSError, ValueError):  # not glibc, or no ctypes
-        return
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+        return None
+    return libc
 
 
-_pin_malloc_thresholds()
+_GLIBC = _glibc()
+if _GLIBC is not None:  # pinned, which also stops glibc from moving them
+    _GLIBC.mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    _GLIBC.mallopt(_M_TRIM_THRESHOLD, 8 << 20)
 
 
 class _Records:
@@ -266,10 +271,11 @@ def _five_fields(data: bytes, b, starts, ends, stops):
 
     Such a line has no NUL or bare ``\\r``, is not blank and is no longer than
     csv's field size limit.  csv splits it there, and it is kept, if it has a
-    journal_id of at most _MAX_ID_BYTES and either has four commas and no
-    ``"``, or its only two ``"`` quote the name: one is right after the first
-    comma and one right before the third-from-last comma, which is not the
-    first, so a comma in the name is part of it.
+    journal_id of 1 to _MAX_ID_BYTES bytes (the row loop rejects an empty one)
+    and either has four commas and no ``"``, or its only two ``"`` quote the
+    name: one is right after the first comma and one right before the
+    third-from-last comma, which is not the first, so a comma in the name is
+    part of it.
     """
     commas = np.flatnonzero(b == _COMMA)
     last = np.searchsorted(commas, ends)
@@ -291,7 +297,8 @@ def _five_fields(data: bytes, b, starts, ends, stops):
         quoted = (quotes == 2) & (closing > opening)
         quoted &= (b[opening] == _QUOTE) & (b[closing] == _QUOTE)
         plain = quoted | plain & (quotes == 0)
-    plain &= fields[:, 0] - starts[lines] <= _MAX_ID_BYTES
+    id_bytes = fields[:, 0] - starts[lines]
+    plain &= (id_bytes > 0) & (id_bytes <= _MAX_ID_BYTES)
     return lines, fields, quoted, plain
 
 
@@ -384,3 +391,5 @@ def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
     # What is left has no newline: a last line, or records that end at "\r".
     _csv_records(src, len(src.data), taken, acc, log)
     table.fold()
+    if _GLIBC is not None:  # hand the free heap the chunks left back to the OS
+        _GLIBC.malloc_trim(0)

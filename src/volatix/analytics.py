@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import enum
 import heapq
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .display import (
     exact_str,
@@ -28,7 +31,7 @@ from .display import (
     sig2_percent_str,
 )
 from .errors import InvalidThresholdsError
-from .ingest import Corpus, write_csv, write_json
+from .ingest import Corpus, _open_out, write_csv, write_json
 from .metrics import REPORT_FIELDS, VolatilityReport, top_paper_volatility
 
 #: Threshold presets mirroring the customary report cuts.
@@ -188,16 +191,26 @@ def threshold_table(
     return ThresholdTable(key=key, rows=tuple(rows), journals_ranked=total)
 
 
+def _scatter_points(reports: Iterable[VolatilityReport], value) -> Iterator[tuple]:
+    """The (n_2y, delta_f, delta_f_rel) point of each report, sorted by n_2y
+    then journal_id, with each value ``value(num, den)`` of its integer pair
+    and an undefined ``delta_f_rel`` None.
+
+    With ``int.__truediv__`` the values are the floats that
+    :func:`write_scatter_csv` makes of ``Fraction`` points, with no
+    ``Fraction`` made: ``float(Fraction(n, d))`` divides its reduced pair, and
+    int true division rounds the exact quotient, reduced or not, correctly."""
+    for r in sorted(reports, key=lambda r: (r.n_2y, r.journal_id)):
+        *_, dn, dd, rn, rd = r._pairs()
+        yield r.n_2y, value(dn, dd), value(rn, rd) if rd else None
+
+
 def scatter_data(
     reports: Iterable[VolatilityReport],
 ) -> list[tuple[int, Fraction, Optional[Fraction]]]:
     """Plot-ready (n_2y, delta_f, delta_f_rel) points, one per ranked journal,
     sorted by n_2y then journal_id."""
-    points = []
-    for r in sorted(reports, key=lambda r: (r.n_2y, r.journal_id)):
-        *_, dn, dd, rn, rd = r._pairs()
-        points.append((r.n_2y, Fraction(dn, dd), Fraction(rn, rd) if rd else None))
-    return points
+    return list(_scatter_points(reports, Fraction))
 
 
 def dataset_summary(corpus: Corpus) -> CorpusSummary:
@@ -241,8 +254,48 @@ def write_reports_csv(reports, dest, *, exact: bool = False) -> None:
     write_csv(dest, REPORT_FIELDS, (report_row(r, exact=exact) for r in reports))
 
 
+# One report object of write_reports_json, as json.dump(..., indent=2) lays
+# it out in a list: each field's '    "key": ' prefix is built once.
+_REPORT_JSON = "  {\n%s\n  }" % ",\n".join(
+    f"    {encode_basestring_ascii(name)}: %s" for name in REPORT_FIELDS
+)
+# Reports per write of write_reports_json, so that only so many are held as text.
+_JSON_BLOCK = 1024
+
+
+def _json_value(value) -> str:
+    """``value`` as json.dump writes it: a string through the C escaper that
+    ``ensure_ascii=True`` uses, an int with ``int.__repr__``."""
+    if value.__class__ is str:
+        return encode_basestring_ascii(value)
+    if value.__class__ is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _report_json(report: VolatilityReport, exact: bool) -> str:
+    """The JSON text of :func:`report_obj`, laid out as in write_reports_json.
+    The rendered values are strings, and only ``delta_f_rel`` can be empty."""
+    journal_id, f, f_star, c_star, delta_f, rel, n_2y = report_row(report, exact=exact)
+    enc = encode_basestring_ascii
+    if journal_id.__class__ is str and c_star.__class__ is int and n_2y.__class__ is int:
+        journal_id = enc(journal_id)  # "%s" writes an int as int.__repr__ does
+    else:  # other values, which the public constructor can be given
+        journal_id, c_star, n_2y = _json_value(journal_id), _json_value(c_star), _json_value(n_2y)
+    rel = enc(rel) if rel else "null"
+    return _REPORT_JSON % (journal_id, enc(f), enc(f_star), c_star, enc(delta_f), rel, n_2y)
+
+
 def write_reports_json(reports, dest, *, exact: bool = False) -> None:
-    write_json(dest, [report_obj(r, exact=exact) for r in reports])
+    """The bytes of ``write_json`` of the reports' :func:`report_obj` list,
+    written in blocks of _JSON_BLOCK reports with no list of dicts."""
+    reports = iter(reports)
+    with _open_out(dest) as out:
+        start = "[\n"
+        while block := [_report_json(r, exact) for r in islice(reports, _JSON_BLOCK)]:
+            out.write(start + ",\n".join(block))
+            start = ",\n"
+        out.write("[]\n" if start == "[\n" else "\n]\n")
 
 
 def write_ranked_csv(table: RankedTable, dest, *, exact: bool = False) -> None:
@@ -300,7 +353,9 @@ def write_thresholds_json(table: ThresholdTable, dest, *, exact: bool = False) -
 
 def write_scatter_csv(points, dest) -> None:
     """`scatter.csv`: n_2y,delta_f,delta_f_rel with floats for plot tools and
-    an empty field where the relative value is undefined."""
+    an empty field where the relative value is undefined.  ``points`` are
+    those of :func:`scatter_data`, or of :func:`_scatter_points` with float
+    values."""
     rows = (
         [n_2y, repr(float(delta_f)), "" if delta_f_rel is None else repr(float(delta_f_rel))]
         for n_2y, delta_f, delta_f_rel in points

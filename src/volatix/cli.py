@@ -136,7 +136,7 @@ def cmd_synth(args) -> int:
 
 def cmd_scatter(args) -> int:
     reports = _load_reports(args.corpus)
-    points = analytics.scatter_data(reports)
+    points = analytics._scatter_points(reports, int.__truediv__)
     analytics.write_scatter_csv(points, args.out or sys.stdout)
     return 0
 

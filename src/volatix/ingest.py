@@ -35,8 +35,8 @@ Structurally unreadable rows (wrong arity, counts that are not ASCII digits
 with an optional leading ``-``, a field over ``csv.field_size_limit()``) raise
 :class:`~volatix.errors.MalformedRowError` with the line number; rows that are
 readable but invalid (negative counts, counts or an ``n_2y`` above
-MAX_CITATIONS, unknown item types, violated count invariants) are rejected and
-logged instead.
+MAX_CITATIONS, unknown item types, violated count invariants, an empty
+journal_id) are rejected and logged instead.
 
 Every byte of an input file is read once, through one reader and its one
 buffer.  The reader hashes each byte for the provenance digest, checks that
@@ -72,8 +72,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
-from .errors import InvalidAggregateError, MalformedRowError
-from .metrics import MAX_CITATIONS, ItemType, JournalAggregate, PaperRecord
+from .errors import MalformedRowError
+from .metrics import (
+    MAX_CITATIONS,
+    ItemType,
+    JournalAggregate,
+    PaperRecord,
+    _aggregate_fault,
+    _checked_aggregate,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -302,16 +309,14 @@ def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> Non
                 citations,
             )
             continue
-        kind = _ITEM_KINDS.get(item_type)
-        if kind is None:
-            log.rows_rejected += 1
-            log.citations_read += citations
-            log.citations_removed += citations
-            logger.warning(
-                "line %d: unknown item_type %r, row rejected", line, item_type
-            )
-            continue
         log.citations_read += citations
+        kind = _ITEM_KINDS.get(item_type)
+        if kind is None or not journal_id:
+            log.rows_rejected += 1
+            log.citations_removed += citations
+            fault = f"unknown item_type {item_type!r}" if journal_id else "empty journal_id"
+            logger.warning("line %d: %s, row rejected", line, fault)
+            continue
         entry = acc.get(journal_id)
         if entry is None:
             entry = acc[journal_id] = [name, 0, 0, 0]
@@ -342,31 +347,42 @@ def parse_paper_level(source: Source):
     return _parse(source, "papers")
 
 
-def _iter_aggregate_rows(rows, log: CleaningLog) -> Iterator[JournalAggregate]:
-    """Yield validated aggregates from the Schema-B rows after the header
-    line, rejecting violations."""
+def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog) -> None:
+    """The Schema-B row loop over the rows after the header line: check each
+    row's counts, reject it with a warning if no journal can have them or its
+    journal_id is empty, then apply the cleaning rules of :func:`_admit` and
+    keep what passes in ``journals``."""
+    seen: set[str] = set()
     for row in rows:
-        line = 1 + rows.line_num
         if len(row) != 5:
-            raise MalformedRowError(f"expected 5 fields, got {len(row)}", line)
+            raise MalformedRowError(f"expected 5 fields, got {len(row)}", 1 + rows.line_num)
         journal_id, name, total_text, n_text, top_text = row
-        total = _parse_count(total_text, line, "total_citations")
-        n_2y = _parse_count(n_text, line, "n_2y")
-        top = _parse_count(top_text, line, "top_paper_citations")
+        counts = total_text + n_text + top_text
+        # three short counts of ASCII digits; int() refuses over 4300 digits
+        short_digits = counts.isdigit() and counts.isascii() and len(counts) <= 30
+        if short_digits and total_text and n_text and top_text:
+            total, n_2y, top = int(total_text), int(n_text), int(top_text)
+        else:  # a sign, an empty field, a long or odd count: parsed, or refused, one at a time
+            line = 1 + rows.line_num
+            total = _parse_count(total_text, line, "total_citations")
+            n_2y = _parse_count(n_text, line, "n_2y")
+            top = _parse_count(top_text, line, "top_paper_citations")
         log.rows_read += 1
         bad_citations = not (0 <= total <= MAX_CITATIONS and 0 <= top <= MAX_CITATIONS)
         if bad_citations or n_2y > MAX_CITATIONS:
             log.rows_rejected += 1
             field = "citation count" if bad_citations else "n_2y"
-            logger.warning("line %d: %s out of range, row rejected", line, field)
+            logger.warning("line %d: %s out of range, row rejected", 1 + rows.line_num, field)
             continue
         log.citations_read += total
-        try:
-            yield JournalAggregate(journal_id, name, total, n_2y, top)
-        except InvalidAggregateError as exc:
+        fault = _aggregate_fault(journal_id, total, n_2y, top) if journal_id else "empty journal_id"
+        if fault is None:
+            if _admit(seen, journal_id, total, n_2y, log):
+                journals[journal_id] = _checked_aggregate(journal_id, name, total, n_2y, top)
+        else:
             log.rows_rejected += 1
             log.citations_removed += total
-            logger.warning("line %d: %s, row rejected", line, exc)
+            logger.warning("line %d: %s, row rejected", 1 + rows.line_num, fault)
 
 
 def parse_aggregate(source: Source):
@@ -406,9 +422,7 @@ def _parse(source: Source, schema: Optional[str] = None):
                 if schema == "papers":
                     _parse_paper_rows(rows, 1, acc, log)
                 else:
-                    seen: set[str] = set()
-                    for agg in _iter_aggregate_rows(rows, log):
-                        _clean_into(journals, seen, agg, log)
+                    _parse_aggregate_rows(rows, journals, log)
             except csv.Error as exc:
                 raise _csv_error(exc, rows, 1) from None
     for journal_id, (name, total, top, n) in acc.items():
@@ -419,38 +433,35 @@ def _parse(source: Source, schema: Optional[str] = None):
             continue
         if n == 1:
             log.singletons_excluded += 1
-        journals[journal_id] = JournalAggregate(journal_id, name, total, n, top)
+        # valid by construction: top <= total <= n * top, as a max and a sum of n counts
+        journals[journal_id] = _checked_aggregate(journal_id, name, total, n, top)
         log.citations_kept += total
     log.journals_kept = len(journals)
     provenance = Provenance(src.hasher.hexdigest(), schema)
     return Corpus(journals=journals, provenance=provenance), log
 
 
-def _clean_into(
-    journals: dict[str, JournalAggregate],
-    seen: set[str],
-    agg: JournalAggregate,
-    log: CleaningLog,
-) -> None:
-    """Apply the duplicate / zero-or-NA / singleton rules to one aggregate.
+def _admit(seen: set, journal_id: str, total: int, n_2y: int, log: CleaningLog) -> bool:
+    """Apply the duplicate / zero-or-NA / singleton rules to one journal's
+    counts, and say whether the journal is kept.
 
     Dedupe runs before the zero filter, so a zero-citation first occurrence
     still shadows every later row with the same id.
     """
-    if agg.journal_id in seen:
+    if journal_id in seen:
         log.duplicates_removed += 1
-        log.citations_removed += agg.total_citations
-        logger.info("journal %r: duplicate entry dropped", agg.journal_id)
-        return
-    seen.add(agg.journal_id)
-    if agg.total_citations == 0:
+        log.citations_removed += total
+        logger.info("journal %r: duplicate entry dropped", journal_id)
+        return False
+    seen.add(journal_id)
+    if total == 0:
         log.zero_or_na_removed += 1
-        logger.info("journal %r removed: zero citations", agg.journal_id)
-        return
-    if agg.n_2y == 1:
+        logger.info("journal %r removed: zero citations", journal_id)
+        return False
+    if n_2y == 1:
         log.singletons_excluded += 1
-    journals[agg.journal_id] = agg
-    log.citations_kept += agg.total_citations
+    log.citations_kept += total
+    return True
 
 
 def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
@@ -474,7 +485,8 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     for agg in aggregates:
         log.rows_read += 1
         log.citations_read += agg.total_citations
-        _clean_into(journals, seen, agg, log)
+        if _admit(seen, agg.journal_id, agg.total_citations, agg.n_2y, log):
+            journals[agg.journal_id] = agg
     log.journals_kept = len(journals)
     return Corpus(journals=journals, papers=papers, provenance=provenance), log
 

@@ -89,11 +89,11 @@ class PaperRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalAggregate:
     """Journal-level counts: window citations C, biennial size N_2Y, top count c*.
 
-    Invariants enforced on construction:
+    Invariants enforced on construction (see :func:`_aggregate_fault`):
       * ``n_2y >= 1``
       * ``0 <= top_cited <= total_citations``
       * a single-paper journal's top paper holds all its citations
@@ -108,33 +108,54 @@ class JournalAggregate:
     top_cited: int
 
     def __post_init__(self):
-        if self.n_2y < 1:
-            raise InvalidAggregateError(
-                f"journal {self.journal_id!r}: n_2y must be >= 1, got {self.n_2y}"
-            )
-        if self.total_citations < 0:
-            raise InvalidAggregateError(
-                f"journal {self.journal_id!r}: negative total_citations"
-            )
-        if not 0 <= self.top_cited <= self.total_citations:
-            raise InvalidAggregateError(
-                f"journal {self.journal_id!r}: top_cited {self.top_cited} outside "
-                f"[0, {self.total_citations}]"
-            )
-        if self.n_2y == 1 and self.top_cited != self.total_citations:
-            raise InvalidAggregateError(
-                f"journal {self.journal_id!r}: single paper must hold all "
-                f"{self.total_citations} citations"
-            )
-        if self.n_2y * self.top_cited < self.total_citations:
-            raise InvalidAggregateError(
-                f"journal {self.journal_id!r}: top_cited {self.top_cited} below the "
-                f"average {self.total_citations}/{self.n_2y}"
-            )
+        fault = _aggregate_fault(self.journal_id, self.total_citations, self.n_2y, self.top_cited)
+        if fault is not None:
+            raise InvalidAggregateError(fault)
 
     @property
     def citation_average(self) -> Fraction:
         return Fraction(self.total_citations, self.n_2y)
+
+
+def _aggregate_fault(journal_id: str, total: int, n_2y: int, top: int) -> Optional[str]:
+    """Why no journal can have the counts ``(C, N_2Y, c*)``, or None if one can.
+
+    For ``n_2y >= 1`` the four invariants of :class:`JournalAggregate` come
+    down to ``0 <= c* <= C <= N_2Y c*``; each message names the first one
+    broken, in the order the class lists them.
+    """
+    if n_2y >= 1 and 0 <= top <= total <= n_2y * top:
+        return None
+    if n_2y < 1:
+        return f"journal {journal_id!r}: n_2y must be >= 1, got {n_2y}"
+    if total < 0:
+        return f"journal {journal_id!r}: negative total_citations"
+    if not 0 <= top <= total:
+        return f"journal {journal_id!r}: top_cited {top} outside [0, {total}]"
+    if n_2y == 1:
+        return f"journal {journal_id!r}: single paper must hold all {total} citations"
+    return f"journal {journal_id!r}: top_cited {top} below the average {total}/{n_2y}"
+
+
+# Write an aggregate's slots past the __setattr__ that keeps aggregates frozen,
+# as _set_data does for reports: the cheapest way to build one whose counts
+# are already known to pass _aggregate_fault.
+_AGGREGATE_SETTERS = tuple(getattr(JournalAggregate, f).__set__ for f in JournalAggregate.__slots__)
+
+
+def _checked_aggregate(
+    journal_id: str, name: str, total: int, n_2y: int, top: int
+) -> JournalAggregate:
+    """A JournalAggregate of counts that :func:`_aggregate_fault` passes,
+    built without checking them again."""
+    agg = object.__new__(JournalAggregate)
+    set_id, set_name, set_total, set_n, set_top = _AGGREGATE_SETTERS
+    set_id(agg, journal_id)
+    set_name(agg, name)
+    set_total(agg, total)
+    set_n(agg, n_2y)
+    set_top(agg, top)
+    return agg
 
 
 @dataclass(frozen=True)

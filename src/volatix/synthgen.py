@@ -232,6 +232,30 @@ _SIZE_MODELS = {"log_uniform": LogUniformSizes, "fixed": FixedSizes}
 _CITATION_MODELS = {"discrete_lognormal": DiscreteLognormal, "zipf": ZipfTruncated}
 
 
+def _model(spec, role: str, models: dict):
+    """The model that ``spec``, the config's ``role`` entry, describes: a
+    JSON object with a ``kind`` from ``models`` and that model's keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"bad synth config: {role} must be a JSON object")
+    if "kind" not in spec:
+        raise ConfigError(f"bad synth config: {role} has no kind; kinds are {sorted(models)}")
+    kind = spec["kind"]
+    model = models.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise ConfigError(
+            f"bad synth config: unknown {role} kind {kind!r}; kinds are {sorted(models)}"
+        )
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    names = {field.name for field in fields(model)}
+    missing = sorted(names - set(params))
+    if missing:
+        raise ConfigError(f"bad synth config: {role} {kind} missing keys {missing}")
+    unknown = sorted(set(params) - names, key=repr)  # keys of any type, in one order
+    if unknown:
+        raise ConfigError(f"bad synth config: unknown {role} {kind} keys {unknown}")
+    return model(**params)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Everything that determines a synthetic corpus, bit for bit."""
@@ -278,21 +302,12 @@ class SynthConfig:
         missing = sorted(names - set(data))
         if missing:
             raise ConfigError(f"bad synth config: missing keys {missing}")
-        try:
-            size_spec = dict(data["size_model"])
-            cite_spec = dict(data["citation_model"])
-            size_cls = _SIZE_MODELS[size_spec.pop("kind")]
-            cite_cls = _CITATION_MODELS[cite_spec.pop("kind")]
-            config = cls(
-                n_journals=data["n_journals"],
-                size_model=size_cls(**size_spec),
-                citation_model=cite_cls(**cite_spec),
-                seed=data["seed"],
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: dict("ab")
-            raise ConfigError(f"bad synth config: {exc}") from exc
+        config = cls(
+            n_journals=data["n_journals"],
+            size_model=_model(data["size_model"], "size_model", _SIZE_MODELS),
+            citation_model=_model(data["citation_model"], "citation_model", _CITATION_MODELS),
+            seed=data["seed"],
+        )
         unknown = sorted(set(data) - names, key=repr)  # keys of any type, in one order
         if unknown:
             raise ConfigError(f"bad synth config: unknown keys {unknown}")

@@ -105,6 +105,24 @@ class TestReport:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["journal_id"] for r in rows] == ["A"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "journal_id,journal_name,total_citations,n_2y,top_paper_citations\n"
+            ",,4,2,3\nA,Normal,10,5,6\n",
+            "journal_id,journal_name,paper_id,item_type,citations\n"
+            ",,p1,article,3\nA,Normal,p2,article,4\nA,Normal,p3,article,1\n",
+        ],
+        ids=["journals", "papers"],
+    )
+    def test_empty_journal_id_is_a_rejected_row(self, capsys, caplog, tmp_path, text):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "report", str(path), "--format", "json")
+        assert code == 0
+        assert [r["journal_id"] for r in json.loads(out)] == ["A"]
+        assert [r.getMessage() for r in caplog.records] == ["line 2: empty journal_id, row rejected"]
+
     def test_json_format(self, capsys, absolute_fixture):
         code, out, _ = run_cli(capsys, "report", str(absolute_fixture), "--format", "json")
         data = json.loads(out)
@@ -287,8 +305,16 @@ class TestSynthAndScatter:
             ({"citation_model": {"kind": "zipf", "alpha": 2.0, "c_max": 1e20}},
              "c_max must be an integer, got 1e+20"),
             ({"extra": 5, "comment": "x"}, "bad synth config: unknown keys ['comment', 'extra']"),
+            ({"size_model": [1]}, "bad synth config: size_model must be a JSON object"),
+            ({"size_model": {"min": 2, "max": 9}},
+             "bad synth config: size_model has no kind; kinds are ['fixed', 'log_uniform']"),
+            ({"citation_model": {"kind": "poisson"}}, "bad synth config: unknown citation_model "
+             "kind 'poisson'; kinds are ['discrete_lognormal', 'zipf']"),
+            ({"citation_model": {"kind": "zipf", "alpha": 2.0, "c_max": 9, "1": 2}},
+             "bad synth config: unknown citation_model zipf keys ['1']"),
         ],
-        ids=["string-count", "bool-seed", "nan-mu", "float-c_max", "unknown-key"],
+        ids=["string-count", "bool-seed", "nan-mu", "float-c_max", "unknown-key", "model-a-list",
+             "model-no-kind", "model-unknown-kind", "model-unknown-key"],
     )
     def test_bad_config_value_is_one_line_error(self, capsys, data_dir, tmp_path, change, message):
         config = tmp_path / "config.json"

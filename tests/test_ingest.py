@@ -1,4 +1,5 @@
 import codecs
+import csv
 import hashlib
 import io
 import itertools
@@ -11,15 +12,16 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volatix import _chunked, ingest
-from volatix.errors import MalformedRowError
+from volatix.errors import InvalidAggregateError, MalformedRowError
 from volatix.ingest import (
     AGGREGATE_HEADER,
     PAPER_HEADER,
     CleaningLog,
+    _parse_count,
     dedupe_and_filter,
     load_corpus,
     parse_aggregate,
@@ -219,7 +221,8 @@ def quote_header(raw):
 def reference_parse(rows):
     """Schema-A semantics over all rows at once, as documented: returns
     (journals, CleaningLog, warned line numbers).  Rows start at line 2 and
-    citations parse with ``int``."""
+    citations parse with ``int``; a row with an unknown item type or an empty
+    journal_id is rejected."""
     log = CleaningLog()
     acc, warned = {}, []
     for line, (jid, name, _, kind, text) in enumerate(rows, start=2):
@@ -230,7 +233,7 @@ def reference_parse(rows):
             warned.append(line)
             continue
         log.citations_read += citations
-        if kind not in KINDS:
+        if kind not in KINDS or not jid:
             log.rows_rejected += 1
             log.citations_removed += citations
             warned.append(line)
@@ -299,8 +302,9 @@ class TestChunkedHandoff:
         [
             (("Q1", "Quoted, Journal", "q1", "article", "5"), 'Q1,"Quoted, Journal",q1,article,5', False),
             (("LAST", "Last", "x1", "article", "+3"), "LAST,Last,x1,article,+3", True),
+            (("", "Empty", "e1", "article", "5"), ",Empty,e1,article,5", False),
         ],
-        ids=["quoted-name", "plus-sign"],
+        ids=["quoted-name", "plus-sign", "empty-id"],
     )
     def test_csv_continues_after_handoff(self, odd_row, odd_line, malformed, caplog):
         filler, rows = self.rows_with(odd_row)
@@ -744,6 +748,185 @@ class TestParseAggregate:
         assert (log.rows_read, log.rows_rejected) == (3, 1)
         assert [r.getMessage() for r in caplog.records] == ["line 3: n_2y out of range, row rejected"]
         assert log.citations_read == log.citations_kept + log.citations_removed == 19
+
+
+def reference_aggregate_parse(raw: bytes):
+    """Schema-B rows the two-step way: a generator of checked aggregates, each
+    built with its checks and any fault raised and caught, then the cleaning
+    rules one aggregate at a time.  This is the row loop the one-pass loop of
+    ingest replaced, plus the rule that an empty journal_id is a rejected row.
+    Returns (journals, CleaningLog)."""
+    log = CleaningLog()
+
+    def aggregate_rows(rows):
+        for row in rows:
+            line = rows.line_num  # the header is line 1
+            if len(row) != 5:
+                raise MalformedRowError(f"expected 5 fields, got {len(row)}", line)
+            journal_id, name, total_text, n_text, top_text = row
+            total = _parse_count(total_text, line, "total_citations")
+            n_2y = _parse_count(n_text, line, "n_2y")
+            top = _parse_count(top_text, line, "top_paper_citations")
+            log.rows_read += 1
+            bad_citations = not (0 <= total <= MAX_CITATIONS and 0 <= top <= MAX_CITATIONS)
+            if bad_citations or n_2y > MAX_CITATIONS:
+                log.rows_rejected += 1
+                field = "citation count" if bad_citations else "n_2y"
+                ingest.logger.warning("line %d: %s out of range, row rejected", line, field)
+                continue
+            log.citations_read += total
+            try:
+                if not journal_id:
+                    raise InvalidAggregateError("empty journal_id")
+                yield JournalAggregate(journal_id, name, total, n_2y, top)
+            except InvalidAggregateError as exc:
+                log.rows_rejected += 1
+                log.citations_removed += total
+                ingest.logger.warning("line %d: %s, row rejected", line, exc)
+
+    def clean_into(journals, seen, agg):
+        if agg.journal_id in seen:
+            log.duplicates_removed += 1
+            log.citations_removed += agg.total_citations
+            ingest.logger.info("journal %r: duplicate entry dropped", agg.journal_id)
+            return
+        seen.add(agg.journal_id)
+        if agg.total_citations == 0:
+            log.zero_or_na_removed += 1
+            ingest.logger.info("journal %r removed: zero citations", agg.journal_id)
+            return
+        if agg.n_2y == 1:
+            log.singletons_excluded += 1
+        journals[agg.journal_id] = agg
+        log.citations_kept += agg.total_citations
+
+    text = raw.decode("utf-8")
+    rows = csv.reader(io.StringIO(text, newline=""))
+    assert next(rows) == AGGREGATE_HEADER
+    journals, seen = {}, set()
+    for agg in aggregate_rows(rows):
+        clean_into(journals, seen, agg)
+    log.journals_kept = len(journals)
+    return journals, log
+
+
+# count texts: in range, out of range, signed, odd (refused), long, and too
+# long for int()
+GOOD_COUNTS = st.integers(0, 12).map(str)
+ODD_COUNTS = st.sampled_from(
+    ["-1", "-0", "007", "2147483647", "2147483648", "9" * 31, "1" + "0" * 2999, "1" * 5000,
+     "", "1_0", " 3", "+3", "\u0663", "3.0", "x"]
+)
+SCHEMA_B_IDS = ["A", "B", "Zé", "", " ", "a,b"]
+
+
+@st.composite
+def schema_b_rows(draw):
+    """Schema-B rows over a few ids, so that duplicates are common and follow
+    rejected rows and zero rows; most counts are small and in range, which
+    makes invariant violations and zero totals common too."""
+    count = st.one_of(GOOD_COUNTS, GOOD_COUNTS, GOOD_COUNTS, ODD_COUNTS)
+    row = st.tuples(st.sampled_from(SCHEMA_B_IDS), st.sampled_from(["N", "Nom, é"]), count, count, count)
+    rows = [list(r) for r in draw(st.lists(row, max_size=25))]
+    if rows and draw(st.integers(0, 9)) == 0:  # one row of the wrong arity
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+    return rows
+
+
+def aggregate_outcome(parse, raw):
+    """The corpus items and log that ``parse`` makes of ``raw``, or the
+    error's message, line and column; and its INFO-or-above messages."""
+    handler = ListHandler()
+    handler.setLevel(logging.INFO)
+    ingest.logger.addHandler(handler)
+    level = ingest.logger.level
+    ingest.logger.setLevel(logging.INFO)
+    try:
+        journals, log = parse(raw)
+        outcome = (list(journals.items()), log)
+    except MalformedRowError as exc:
+        outcome = (str(exc), exc.line, exc.column)
+    finally:
+        ingest.logger.setLevel(level)
+        ingest.logger.removeHandler(handler)
+    return outcome, handler.messages
+
+
+def one_pass_parse(raw: bytes):
+    corpus, log = parse_aggregate(io.BytesIO(raw))
+    assert corpus.provenance.digest == hashlib.sha256(raw).hexdigest()
+    return corpus.journals, log
+
+
+class TestOnePassAggregateRows:
+    """The one-pass Schema-B loop against the two-step reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=schema_b_rows(), eol=st.sampled_from(["\n", "\r\n"]))
+    @example(rows=[["A", "N", "0", "2", "0"], ["A", "N", "9", "3", "5"]], eol="\n")  # after a zero row
+    @example(rows=[["A", "N", "9", "3", "1"], ["A", "N", "9", "3", "5"], ["A", "N", "9", "3", "4"]], eol="\n")
+    @example(rows=[["", "N", "4", "2", "3"], ["A", "N", "4", "1", "3"], ["A", "N", "9", "0", "0"]], eol="\n")
+    def test_one_pass_equals_the_reference(self, rows, eol):
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator=eol).writerows([AGGREGATE_HEADER] + rows)
+        raw = buf.getvalue().encode("utf-8")
+        found = aggregate_outcome(one_pass_parse, raw)
+        assert found == aggregate_outcome(reference_aggregate_parse, raw)
+        outcome, _ = found
+        if len(outcome) == 2:  # parsed, not refused
+            journals, log = outcome
+            assert log.citations_read == log.citations_kept + log.citations_removed
+            assert log.citations_kept == sum(agg.total_citations for _, agg in journals)
+
+
+class TestEmptyJournalIds:
+    """An empty journal_id is a rejected row, in either schema and stage."""
+
+    @pytest.mark.parametrize("stage", ["chunked", "csv"])
+    def test_schema_a_rows_are_rejected(self, stage, caplog):
+        raw = schema_a([",,p1,article,3", "J,Jay,p2,article,4", ",,p3,article,1", "J,Jay,p4,review,2"])
+        if stage == "csv":
+            raw = quote_header(raw)
+        with caplog.at_level(logging.WARNING, logger="volatix.ingest"):
+            corpus, log = parse_paper_level(io.BytesIO(raw))
+        assert list(corpus.journals) == ["J"]
+        assert (log.rows_read, log.rows_rejected, log.journals_kept) == (4, 2, 1)
+        assert (log.citations_read, log.citations_kept, log.citations_removed) == (10, 6, 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "line 2: empty journal_id, row rejected",
+            "line 4: empty journal_id, row rejected",
+        ]
+
+    def test_schema_b_row_is_rejected(self, caplog):
+        rows = [("", "", 4, 2, 3), ("K", "Kappa", 14, 2, 11), ("", "Again", 5, 5, 1)]
+        with caplog.at_level(logging.WARNING, logger="volatix.ingest"):
+            corpus, log = parse_aggregate(journals_csv(rows))
+        assert list(corpus.journals) == ["K"]
+        assert (log.rows_read, log.rows_rejected, log.duplicates_removed) == (3, 2, 0)
+        assert (log.citations_read, log.citations_kept, log.citations_removed) == (23, 14, 9)
+        assert [r.getMessage() for r in caplog.records] == [
+            "line 2: empty journal_id, row rejected",
+            "line 4: empty journal_id, row rejected",
+        ]
+
+
+class TestHeapTrim:
+    def test_each_chunked_parse_trims_the_heap_once(self, monkeypatch, papers_sample):
+        calls = []
+
+        class FakeLibc:
+            def malloc_trim(self, pad):
+                calls.append(pad)
+
+        monkeypatch.setattr(_chunked, "_GLIBC", FakeLibc())
+        load_corpus(papers_sample)
+        assert calls == [0]
+        parse_aggregate(journals_csv([("J", "J", 5, 2, 3)]))
+        parse_paper_level(io.BytesIO(quote_header(schema_a(["J,Jay,p1,article,4"]))))
+        assert calls == [0]  # only the chunked stage trims
+        monkeypatch.setattr(_chunked, "_GLIBC", None)  # off glibc: nothing to call
+        corpus, _ = load_corpus(papers_sample)
+        assert corpus.journals
 
 
 class TestDedupeAndFilter:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +23,8 @@ from volatix.metrics import (
     PaperEffect,
     PaperRecord,
     VolatilityInputs,
+    _aggregate_fault,
+    _checked_aggregate,
     benefit_approx,
     citation_average,
     classify_paper,
@@ -357,6 +362,53 @@ class TestAggregateInvariants:
         with pytest.raises(InvalidAggregateError):
             JournalAggregate("j", "j", 100, 10, 9)
         JournalAggregate("j", "j", 100, 10, 10)  # valid: every paper cited 10 times
+
+    @staticmethod
+    def reference_fault(journal_id, total, n_2y, top):
+        """The five checks one by one, in the order the class lists them."""
+        if n_2y < 1:
+            return f"journal {journal_id!r}: n_2y must be >= 1, got {n_2y}"
+        if total < 0:
+            return f"journal {journal_id!r}: negative total_citations"
+        if not 0 <= top <= total:
+            return f"journal {journal_id!r}: top_cited {top} outside [0, {total}]"
+        if n_2y == 1 and top != total:
+            return f"journal {journal_id!r}: single paper must hold all {total} citations"
+        if n_2y * top < total:
+            return f"journal {journal_id!r}: top_cited {top} below the average {total}/{n_2y}"
+        return None
+
+    @given(st.integers(-2, 12), st.integers(-2, 4), st.integers(-2, 12))
+    def test_one_chained_check_is_the_five_checks(self, total, n_2y, top):
+        fault = self.reference_fault("j", total, n_2y, top)
+        assert _aggregate_fault("j", total, n_2y, top) == fault
+        if fault is None:
+            assert JournalAggregate("j", "J", total, n_2y, top) == _checked_aggregate("j", "J", total, n_2y, top)
+        else:
+            with pytest.raises(InvalidAggregateError) as exc:
+                JournalAggregate("j", "J", total, n_2y, top)
+            assert str(exc.value) == fault
+
+    def test_slots_keep_copies_and_immutability(self):
+        agg = JournalAggregate("LIVING REV RELATIV", "Living Reviews", 112, 6, 87)
+        assert not hasattr(agg, "__dict__")
+        assert pickle.loads(pickle.dumps(agg)) == agg == copy.deepcopy(agg) == copy.copy(agg)
+        assert hash(pickle.loads(pickle.dumps(agg))) == hash(agg)
+        assert dataclasses.replace(agg, top_cited=90) == JournalAggregate(
+            "LIVING REV RELATIV", "Living Reviews", 112, 6, 90
+        )
+        with pytest.raises(InvalidAggregateError):
+            dataclasses.replace(agg, top_cited=113)
+        for name in ("journal_id", "total_citations", "top_cited"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(agg, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(agg, name)
+        with pytest.raises((AttributeError, TypeError)):  # no new attributes either
+            agg.extra = 1
+        built = _checked_aggregate("LIVING REV RELATIV", "Living Reviews", 112, 6, 87)
+        assert (built, repr(built)) == (agg, repr(agg))
+        assert agg.citation_average == Fraction(56, 3)
 
     def test_negative_paper_citations_rejected(self):
         with pytest.raises(InvalidAggregateError):

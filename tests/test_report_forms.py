@@ -10,6 +10,7 @@ the analytics layer makes from them.  The rounded writers must not make a
 
 import copy
 import io
+import json
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from volatix import analytics
+from volatix import analytics, cli
 from volatix.analytics import RankKey
-from volatix.ingest import Corpus
+from volatix.ingest import Corpus, write_journals_csv
 from volatix.metrics import JournalAggregate, VolatilityReport, top_paper_volatility
 
 
@@ -160,3 +161,84 @@ def test_rounded_thresholds_make_no_fraction_per_report(fmt, key, fraction_calls
         render(getattr(analytics, f"write_thresholds_{fmt}"), table)
         made.append(fraction_calls[0] - before)
     assert made[0] == made[1] <= 6 * len(cuts)
+
+
+def test_cli_scatter_makes_no_fraction(fraction_calls, tmp_path):
+    corpus = corpus_of(300)
+    source, out = tmp_path / "journals.csv", tmp_path / "scatter.csv"
+    write_journals_csv(corpus, source)
+    reports, _ = analytics.volatility_reports(corpus)
+    expected = render(analytics.write_scatter_csv, analytics.scatter_data(reports))
+    before = fraction_calls[0]
+    assert before > 0  # the guard counts: scatter_data made its points
+    assert cli.main(["scatter", str(source), "--out", str(out)]) == 0
+    assert fraction_calls[0] == before
+    assert out.read_text() == expected
+
+
+def json_dump_bytes(reports, exact: bool) -> str:
+    """What write_json of the reports' report_obj list writes."""
+    buf = io.StringIO()
+    json.dump([analytics.report_obj(r, exact=exact) for r in reports], buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+# ids json must escape: non-ASCII, astral, quote, backslash, control
+# characters and a lone surrogate
+ODD_IDS = ["Zé", "\U0001d11e", '"q"', "back\\slash", "tab\there\n", "\x00\x1f\x7f", "\ud800", ""]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            possible_aggregates(journal_ids=st.one_of(st.sampled_from(ODD_IDS), st.text(max_size=4))),
+            st.booleans(),
+        ),
+        max_size=9,
+    ),
+    st.booleans(),
+    st.integers(1, 4),
+)
+def test_streamed_report_json_is_json_dump(drawn, exact, block):
+    """Counts-built and Fraction-built reports, undefined delta_f_rel (top
+    paper holding every citation) included, in blocks of 1-4 reports."""
+    reports = [top_paper_volatility(a) if counts else fraction_built(a) for a, counts in drawn]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytics, "_JSON_BLOCK", block)
+        written = render(analytics.write_reports_json, reports, exact=exact)
+        assert render(analytics.write_reports_json, iter(reports), exact=exact) == written
+    assert written == json_dump_bytes(reports, exact)
+    assert json.loads(written) == [analytics.report_obj(r, exact=exact) for r in reports]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("n_reports", [0, 1, 2500], ids=["empty", "one", "three-blocks"])
+def test_streamed_report_json_to_a_path(exact, n_reports, tmp_path):
+    aggs = [
+        JournalAggregate(ODD_IDS[i % len(ODD_IDS)] + str(i), "J", 7 * i + (3 if i % 10 else 0), 2 + i % 9, 7 * i)
+        for i in range(n_reports)
+    ]
+    reports = [top_paper_volatility(a) for a in aggs]
+    path = tmp_path / "reports.json"
+    analytics.write_reports_json(reports, path, exact=exact)
+    assert path.read_bytes() == json_dump_bytes(reports, exact).encode("ascii")
+    if n_reports == 0:
+        assert path.read_text() == "[]\n"
+
+
+def test_streamed_report_json_writes_other_values_as_json_dump():
+    """Values the public constructor takes that are not str and int: an int
+    id, a bool, an int subclass and a float."""
+    reports = [
+        VolatilityReport(7, Fraction(1), Fraction(1), True, Fraction(0), None, 2),
+        VolatilityReport("j", Fraction(3, 2), Fraction(1), IntWithOwnStr(4), Fraction(1, 2), Fraction(1, 2), 2.0),
+    ]
+    for exact in (False, True):
+        assert render(analytics.write_reports_json, reports, exact=exact) == json_dump_bytes(reports, exact)
+
+
+class IntWithOwnStr(int):
+    """An int subclass, which json.dump writes with int.__repr__."""
+
+    def __str__(self):
+        return "not this"

@@ -109,8 +109,32 @@ class TestConfig:
             ("abc", "must be a JSON object"),
             ({1: 2, "a": 1}, "missing keys ['citation_model', 'n_journals', 'seed', 'size_model']"),
             ({**small_config().as_dict(), 1: 2, "a": 1}, "unknown keys ['a', 1]"),
+            ({**small_config().as_dict(), "size_model": [1]}, "size_model must be a JSON object"),
+            (
+                {**small_config().as_dict(), "size_model": {"n": 10}},
+                "size_model has no kind; kinds are ['fixed', 'log_uniform']",
+            ),
+            (
+                {**small_config().as_dict(), "citation_model": {"kind": "poisson", "mu": 1}},
+                "unknown citation_model kind 'poisson'; kinds are ['discrete_lognormal', 'zipf']",
+            ),
+            (
+                {**small_config().as_dict(), "citation_model": {"kind": ["zipf"]}},
+                "unknown citation_model kind ['zipf']; kinds are ['discrete_lognormal', 'zipf']",
+            ),
+            (
+                {**small_config().as_dict(), "size_model": {"kind": "fixed", "n": 10, 1: 2}},
+                "unknown size_model fixed keys [1]",
+            ),
+            (
+                {**small_config().as_dict(), "size_model": {"kind": "log_uniform", "min": 2}},
+                "size_model log_uniform missing keys ['max']",
+            ),
         ],
-        ids=["list", "string", "mixed-keys", "mixed-unknown-keys"],
+        ids=[
+            "list", "string", "mixed-keys", "mixed-unknown-keys", "model-a-list", "model-no-kind",
+            "model-unknown-kind", "model-unhashable-kind", "model-int-key", "model-missing-key",
+        ],
     )
     def test_config_errors_name_the_fault(self, data, message):
         with pytest.raises(ConfigError) as exc:

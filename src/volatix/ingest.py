@@ -470,6 +470,8 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     Accepts a Corpus or any iterable of aggregates and returns
     ``(Corpus, CleaningLog)``.  Idempotent: running it on its own output is an
     identity apart from the counters.  All anomalies are logged, never fatal.
+    An aggregate with an empty journal_id is a rejected row, as in the
+    parsers, warned with its 1-based position in the input.
     """
     if isinstance(raw, Corpus):
         aggregates: Iterable[JournalAggregate] = raw.journals.values()
@@ -485,7 +487,11 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     for agg in aggregates:
         log.rows_read += 1
         log.citations_read += agg.total_citations
-        if _admit(seen, agg.journal_id, agg.total_citations, agg.n_2y, log):
+        if not agg.journal_id:
+            log.rows_rejected += 1
+            log.citations_removed += agg.total_citations
+            logger.warning("row %d: empty journal_id, row rejected", log.rows_read)
+        elif _admit(seen, agg.journal_id, agg.total_citations, agg.n_2y, log):
             journals[agg.journal_id] = agg
     log.journals_kept = len(journals)
     return Corpus(journals=journals, papers=papers, provenance=provenance), log

@@ -12,7 +12,10 @@ Reproducibility contract:
 * bit generator: numpy PCG64 (versioned and portable across platforms);
 * stream splitting: journal sizes come from ``SeedSequence(seed,
   spawn_key=(0,))``; the citation counts of journal index ``j`` (0-based)
-  come from ``SeedSequence(seed, spawn_key=(1, j))``.
+  come from ``SeedSequence(seed, spawn_key=(1, j))``.  The corpus writers
+  derive those PCG64 states in one pass per block of journals, without a
+  SeedSequence each; ``journal_citations`` seeds one journal through numpy
+  and is the reference that the derived streams are tested against.
 
 Per-journal streams are independent and randomly accessible, so generation
 may be parallelized across journals while producing byte-identical output in
@@ -48,7 +51,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import PAPER_HEADER, Corpus, Provenance, _open_out
-from .metrics import MAX_CITATIONS, ItemType, JournalAggregate, PaperRecord
+from .metrics import (
+    MAX_CITATIONS,
+    ItemType,
+    JournalAggregate,
+    PaperRecord,
+    _checked_aggregate,
+)
 
 # The largest zipf c_max: its table is two float64 arrays of c_max values,
 # 160 MB at this size.
@@ -342,10 +351,107 @@ def journal_citations(config: SynthConfig, index: int, size: int) -> np.ndarray:
     return config.citation_model.sample(gen, size)
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG, from which _pcg64_states derives what
+# PCG64(SeedSequence(seed, spawn_key=(1, j))) holds once seeded.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+
+#: Journals whose PCG64 states are derived in one numpy pass.
+_SEED_BLOCK = 4096
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of the uint32 words ``value`` under the hash
+    constant ``const``, and the constant that follows it."""
+    const_next = const * mult & _M32
+    mixed = (value ^ const) * const_next
+    return mixed ^ mixed >> 16, const_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of the uint32 words ``x`` and ``y``."""
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ mixed >> 16
+
+
+def _mix_in(pool: list, word: np.ndarray, const: int) -> tuple[list, int]:
+    """The pool with one more entropy word mixed into each of its words."""
+    mixed = []
+    for x in pool:
+        hashed, const = _hashmix(word, const)
+        mixed.append(_mix(x, hashed))
+    return mixed, const
+
+
+def _spawn_pool(seed: int) -> tuple[list, int]:
+    """The 4-word pool of ``SeedSequence(seed, spawn_key=(1, j))`` before the
+    journal index ``j`` is mixed in, and the hash constant at that point.
+
+    The entropy is the seed's two 32-bit words padded with zeros to the pool
+    size, then the spawn key's words ``1`` and ``j``.
+    """
+    const = _INIT_A
+    pool = []
+    for word in (seed & _M32, seed >> 32, 0, 0):
+        hashed, const = _hashmix(np.array([word], dtype=np.uint32), const)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    return _mix_in(pool, np.array([1], dtype=np.uint32), const)
+
+
+def _pcg64_states(pool: list, const: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """``(state, inc)`` of a PCG64 seeded from each journal ``j`` in
+    [start, stop), from the pool and constant of :func:`_spawn_pool`."""
+    pool, _ = _mix_in(pool, np.arange(start, stop, dtype=np.uint32), const)
+    # generate_state(4, np.uint64): 8 words, the pool's in turn, paired
+    # little-endian into the 64-bit halves of the seed and the sequence
+    const = _INIT_B
+    lanes = []
+    for i in range(0, 8, 2):
+        low, const = _hashmix(pool[i % 4], const, _MULT_B)
+        high, const = _hashmix(pool[i % 4 + 1], const, _MULT_B)
+        lanes.append((low.astype(np.uint64) | high.astype(np.uint64) << 32).tolist())
+    states = []
+    for seed_high, seed_low, seq_high, seq_low in zip(*lanes):
+        # pcg64_set_seed: inc = 2 * seq + 1, then two LCG steps from 0 with
+        # the seed added in between
+        inc = (seq_high << 65 | seq_low << 1 | 1) & _M128
+        states.append((((inc + (seed_high << 64 | seed_low)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
 def _draws(config: SynthConfig) -> Iterator[tuple[str, np.ndarray]]:
-    """``(journal_id, citation counts)`` for every journal, in index order."""
-    for j, (jid, size) in enumerate(zip(_journal_ids(config), journal_sizes(config))):
-        yield jid, journal_citations(config, j, int(size))
+    """``(journal_id, citation counts)`` for every journal, in index order.
+
+    Journal ``j``'s counts are ``journal_citations(config, j, size)``, drawn
+    by one PCG64 that is set to each journal's seeded state in turn; the
+    states are derived ``_SEED_BLOCK`` journals at a time.
+    """
+    sizes = journal_sizes(config)
+    sample = config.citation_model.sample
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    # one state dict, refilled per journal: the setter copies its values
+    seeded = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
+    pool, const = _spawn_pool(config.seed)
+    ids = _journal_ids(config)
+    for start in range(0, config.n_journals, _SEED_BLOCK):
+        stop = min(start + _SEED_BLOCK, config.n_journals)
+        for (seeded["state"], seeded["inc"]), size in zip(
+            _pcg64_states(pool, const, start, stop), sizes[start:stop].tolist()
+        ):
+            bits.state = state
+            yield next(ids), sample(gen, size)
 
 
 def generate_corpus(config: SynthConfig, *, keep_papers: bool = True) -> Corpus:
@@ -358,12 +464,9 @@ def generate_corpus(config: SynthConfig, *, keep_papers: bool = True) -> Corpus:
     journals: dict[str, JournalAggregate] = {}
     papers: Optional[list[PaperRecord]] = [] if keep_papers else None
     for jid, counts in _draws(config):
-        journals[jid] = JournalAggregate(
-            journal_id=jid,
-            name=jid,
-            total_citations=int(counts.sum()),
-            n_2y=len(counts),
-            top_cited=int(counts.max()),
+        # n >= 1 counts in [0, MAX_CITATIONS]: their sum and max are valid
+        journals[jid] = _checked_aggregate(
+            jid, jid, int(counts.sum()), len(counts), int(counts.max())
         )
         if papers is not None:
             papers.extend(

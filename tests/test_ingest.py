@@ -910,6 +910,24 @@ class TestEmptyJournalIds:
         ]
 
 
+    def test_dedupe_rejects_an_empty_id(self, caplog):
+        aggs = [
+            JournalAggregate("", "", 4, 2, 3),
+            JournalAggregate("A", "A", 4, 2, 3),
+            JournalAggregate("", "Again", 6, 3, 2),
+        ]
+        with caplog.at_level(logging.WARNING, logger="volatix.ingest"):
+            corpus, log = dedupe_and_filter(aggs)
+        assert list(corpus.journals) == ["A"]
+        assert (log.rows_read, log.rows_rejected, log.journals_kept) == (3, 2, 1)
+        assert (log.citations_read, log.citations_kept, log.citations_removed) == (14, 4, 10)
+        assert log.duplicates_removed == log.zero_or_na_removed == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "row 1: empty journal_id, row rejected",
+            "row 3: empty journal_id, row rejected",
+        ]
+
+
 class TestHeapTrim:
     def test_each_chunked_parse_trims_the_heap_once(self, monkeypatch, papers_sample):
         calls = []

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from volatix import synthgen
 from volatix.analytics import volatility_reports
@@ -208,11 +210,15 @@ class TestDeterminism:
 
 
 def reference_csv(config):
-    """The corpus CSV as csv.writer writes it, one tuple per paper row."""
+    """The corpus CSV as csv.writer writes it, one tuple per paper row, drawn
+    journal by journal through the public streams."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PAPER_HEADER)
-    for jid, counts in synthgen._draws(config):
+    width = max(5, len(str(config.n_journals)))
+    for j, size in enumerate(journal_sizes(config).tolist()):
+        jid = f"S{j + 1:0{width}d}"
+        counts = journal_citations(config, j, size)
         writer.writerows(
             (jid, jid, f"{jid}-P{i:06d}", "article", c)
             for i, c in enumerate(counts.tolist(), start=1)
@@ -260,14 +266,10 @@ class TestWriter:
     def test_bytes_match_csv_writer_with_wide_ids(self):
         # 10**5 journals: six-digit ids, S100000 the last
         config = SynthConfig(100_000, FixedSizes(1), DiscreteLognormal(0.5, 1.2), seed=101)
-        draws = list(synthgen._draws(config))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synthgen, "_draws", lambda _: iter(draws))
-            out = io.StringIO()
-            assert write_corpus_csv(config, out) == 100_000
-            expected = reference_csv(config)
-        assert out.getvalue() == expected
-        last = draws[-1][1][0]
+        out = io.StringIO()
+        assert write_corpus_csv(config, out) == 100_000
+        assert out.getvalue() == reference_csv(config)
+        last = journal_citations(config, 99_999, 1)[0]
         assert out.getvalue().endswith(f"\nS100000,S100000,S100000-P000001,article,{last}\n")
 
     def test_writes_at_most_a_block_of_rows_at_a_time(self):
@@ -278,6 +280,69 @@ class TestWriter:
         assert max(out.rows_per_write) <= BLOCK_ROWS
         assert sum(out.rows_per_write) == 1 + 3 * BLOCK_ROWS
         assert out.getvalue() == reference_csv(config)
+
+
+class TestSeeding:
+    """The journal streams of _draws are numpy's SeedSequence-seeded ones."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("index", [0, 1, 2**16, MAX_ROWS - 1])
+    def test_states_equal_numpy_seeding(self, seed, index):
+        # MAX_ROWS - 1 is the largest journal index a config allows
+        pool, const = synthgen._spawn_pool(seed)
+        [(state, inc)] = synthgen._pcg64_states(pool, const, index, index + 1)
+        bits = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, index)))
+        assert {"state": state, "inc": inc} == bits.state["state"]
+
+    def test_draws_build_no_seed_sequence_per_journal(self, monkeypatch):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        assert len(list(synthgen._draws(small_config(n_journals=500)))) == 500
+        assert built == [(0,)]  # the size stream's only
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_journals=st.integers(1, 300),
+        size_model=st.one_of(
+            st.builds(FixedSizes, st.integers(1, 40)),
+            st.integers(2, 60).flatmap(
+                lambda lo: st.builds(LogUniformSizes, st.just(lo), st.integers(lo, 60))
+            ),
+        ),
+        citation_model=st.one_of(
+            st.builds(DiscreteLognormal, st.floats(-1, 4), st.floats(0.05, 3)),
+            st.builds(ZipfTruncated, st.floats(1.05, 3), st.integers(1, 10**4)),
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        block=st.sampled_from([1, 2, 3, 16, synthgen._SEED_BLOCK]),
+    )
+    # journals one short of a block, a block, and one over, at the real size
+    @example(synthgen._SEED_BLOCK - 1, FixedSizes(1), DiscreteLognormal(0.5, 1.2), 7,
+             synthgen._SEED_BLOCK)
+    @example(synthgen._SEED_BLOCK, FixedSizes(2), ZipfTruncated(2.0, 100), 2**64 - 1,
+             synthgen._SEED_BLOCK)
+    @example(synthgen._SEED_BLOCK + 1, FixedSizes(1), DiscreteLognormal(0.5, 1.2), 2**32,
+             synthgen._SEED_BLOCK)
+    def test_draws_equal_journal_citations(
+        self, n_journals, size_model, citation_model, seed, block
+    ):
+        config = SynthConfig(n_journals, size_model, citation_model, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthgen, "_SEED_BLOCK", block)
+            draws = list(synthgen._draws(config))
+        width = max(5, len(str(n_journals)))
+        sizes = journal_sizes(config).tolist()
+        assert [jid for jid, _ in draws] == [f"S{j:0{width}d}" for j in range(1, n_journals + 1)]
+        for j, (size, (_, counts)) in enumerate(zip(sizes, draws)):
+            expected = journal_citations(config, j, size)
+            assert counts.dtype == expected.dtype
+            assert counts.tolist() == expected.tolist()
 
 
 class TestGeneration:

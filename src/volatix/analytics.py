@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .display import (
@@ -199,8 +200,13 @@ def _scatter_points(reports: Iterable[VolatilityReport], value) -> Iterator[tupl
     With ``int.__truediv__`` the values are the floats that
     :func:`write_scatter_csv` makes of ``Fraction`` points, with no
     ``Fraction`` made: ``float(Fraction(n, d))`` divides its reduced pair, and
-    int true division rounds the exact quotient, reduced or not, correctly."""
-    for r in sorted(reports, key=lambda r: (r.n_2y, r.journal_id)):
+    int true division rounds the exact quotient, reduced or not, correctly.
+
+    Two stable sorts, by journal_id then by n_2y, give the order of the key
+    ``(n_2y, journal_id)`` without a tuple per report."""
+    ordered = sorted(reports, key=attrgetter("journal_id"))
+    ordered.sort(key=attrgetter("n_2y"))
+    for r in ordered:
         *_, dn, dd, rn, rd = r._pairs()
         yield r.n_2y, value(dn, dd), value(rn, rd) if rd else None
 

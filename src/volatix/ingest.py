@@ -352,7 +352,7 @@ def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog) -> None:
     row's counts, reject it with a warning if no journal can have them or its
     journal_id is empty, then apply the cleaning rules of :func:`_admit` and
     keep what passes in ``journals``."""
-    seen: set[str] = set()
+    dropped: set[str] = set()
     for row in rows:
         if len(row) != 5:
             raise MalformedRowError(f"expected 5 fields, got {len(row)}", 1 + rows.line_num)
@@ -377,7 +377,7 @@ def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog) -> None:
         log.citations_read += total
         fault = _aggregate_fault(journal_id, total, n_2y, top) if journal_id else "empty journal_id"
         if fault is None:
-            if _admit(seen, journal_id, total, n_2y, log):
+            if _admit(journals, dropped, journal_id, total, n_2y, log):
                 journals[journal_id] = _checked_aggregate(journal_id, name, total, n_2y, top)
         else:
             log.rows_rejected += 1
@@ -441,20 +441,26 @@ def _parse(source: Source, schema: Optional[str] = None):
     return Corpus(journals=journals, provenance=provenance), log
 
 
-def _admit(seen: set, journal_id: str, total: int, n_2y: int, log: CleaningLog) -> bool:
+def _admit(
+    journals: dict, dropped: set, journal_id: str, total: int, n_2y: int, log: CleaningLog
+) -> bool:
     """Apply the duplicate / zero-or-NA / singleton rules to one journal's
-    counts, and say whether the journal is kept.
+    counts, and say whether the journal is kept; the caller stores a kept
+    journal in ``journals`` before the next call.
 
+    An id seen before is either kept, so in ``journals``, or was dropped by
+    the zero filter, so in ``dropped``: ``_admit`` remembers only the ids it
+    drops, not every id, and the dict of kept journals answers the rest.
     Dedupe runs before the zero filter, so a zero-citation first occurrence
     still shadows every later row with the same id.
     """
-    if journal_id in seen:
+    if journal_id in journals or journal_id in dropped:
         log.duplicates_removed += 1
         log.citations_removed += total
         logger.info("journal %r: duplicate entry dropped", journal_id)
         return False
-    seen.add(journal_id)
     if total == 0:
+        dropped.add(journal_id)
         log.zero_or_na_removed += 1
         logger.info("journal %r removed: zero citations", journal_id)
         return False
@@ -483,7 +489,7 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
         provenance = None
     log = CleaningLog()
     journals: dict[str, JournalAggregate] = {}
-    seen: set[str] = set()
+    dropped: set[str] = set()
     for agg in aggregates:
         log.rows_read += 1
         log.citations_read += agg.total_citations
@@ -491,7 +497,7 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
             log.rows_rejected += 1
             log.citations_removed += agg.total_citations
             logger.warning("row %d: empty journal_id, row rejected", log.rows_read)
-        elif _admit(seen, agg.journal_id, agg.total_citations, agg.n_2y, log):
+        elif _admit(journals, dropped, agg.journal_id, agg.total_citations, agg.n_2y, log):
             journals[agg.journal_id] = agg
     log.journals_kept = len(journals)
     return Corpus(journals=journals, papers=papers, provenance=provenance), log

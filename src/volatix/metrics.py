@@ -138,7 +138,7 @@ def _aggregate_fault(journal_id: str, total: int, n_2y: int, top: int) -> Option
 
 
 # Write an aggregate's slots past the __setattr__ that keeps aggregates frozen,
-# as _set_data does for reports: the cheapest way to build one whose counts
+# as _set_report does for reports: the cheapest way to build one whose counts
 # are already known to pass _aggregate_fault.
 _AGGREGATE_SETTERS = tuple(getattr(JournalAggregate, f).__set__ for f in JournalAggregate.__slots__)
 
@@ -214,12 +214,17 @@ class VolatilityReport:
     thresholds and rendering read, so a ``Fraction`` is made only when a
     field is read.  Equality, hash and repr are those of a frozen dataclass
     of the seven fields, whichever form a report has.
+
+    A report keeps its fields in four slots, not in a tuple, because there is
+    one per journal: a report of counts is one 64-byte object (its GC header
+    included, on CPython 3.10-3.13), where a tuple of the same fields in one
+    slot would make it about 120 bytes.  ``journal_id``, ``c_star`` and
+    ``n_2y`` are read straight from their slots.
     """
 
-    # (journal_id, c_star, n_2y, C or None, the given values' numerators and
-    # denominators or None): one slot, so that a report is built with one
-    # assignment
-    __slots__ = ("_data",)
+    # journal_id, c*, N_2Y, then C (an int) for a report of counts, or the
+    # given values' numerators and denominators (a tuple of eight ints)
+    __slots__ = ("journal_id", "c_star", "n_2y", "_total_or_given")
 
     def __init__(
         self,
@@ -238,12 +243,12 @@ class VolatilityReport:
             else:
                 value = Fraction(value)
                 given += (value.numerator, value.denominator)
-        _set_data(self, (journal_id, c_star, n_2y, None, given))
+        _set_report(self, journal_id, c_star, n_2y, given)
 
     @classmethod
     def _from_counts(cls, journal_id: str, total: int, n_2y: int, top: int) -> "VolatilityReport":
         report = object.__new__(cls)
-        _set_data(report, (journal_id, top, n_2y, total, None))
+        _set_report(report, journal_id, top, n_2y, total)
         return report
 
     def _pairs(self) -> tuple:
@@ -253,15 +258,13 @@ class VolatilityReport:
         need not be reduced.  Each denominator is positive, except that of
         ``delta_f_rel`` where it is undefined: there it is 0, as ``N (C - c*)``
         is when ``C = c*``."""
-        _, top, n, total, given = self._data
-        if given is not None:
-            return given
+        total = self._total_or_given
+        if total.__class__ is tuple:
+            return total
+        top, n = self.c_star, self.n_2y
         rest, excess = total - top, n * top - total
         return total, n, rest, n - 1, excess, n * (n - 1), excess, n * rest
 
-    journal_id = property(lambda self: self._data[0], doc="The journal's id.")
-    c_star = property(lambda self: self._data[1], doc="Citations of the top paper, c*.")
-    n_2y = property(lambda self: self._data[2], doc="Biennial size N_2Y.")
     f = _value_field(0, "Citation average C / N_2Y.")
     f_star = _value_field(1, "Average without the top paper: (C - c*) / (N_2Y - 1).")
     delta_f = _value_field(2, "Shift f - f_star that the top paper made.")
@@ -292,9 +295,18 @@ class VolatilityReport:
         return type(self), self._fields()
 
 
-# Writes a report's one slot past the __setattr__ that keeps reports frozen;
-# the slot's own setter is the cheapest way, once per report.
-_set_data = VolatilityReport._data.__set__
+# Write a report's four slots past the __setattr__ that keeps reports frozen,
+# as _checked_aggregate does for aggregates: the slots' own setters are the
+# cheapest way, once per report.
+_REPORT_SETTERS = tuple(getattr(VolatilityReport, f).__set__ for f in VolatilityReport.__slots__)
+
+
+def _set_report(report: VolatilityReport, journal_id: str, top: int, n_2y: int, total_or_given):
+    set_id, set_top, set_n, set_rest = _REPORT_SETTERS
+    set_id(report, journal_id)
+    set_top(report, top)
+    set_n(report, n_2y)
+    set_rest(report, total_or_given)
 
 
 def citation_average(total_citations: int, n: int) -> Fraction:

@@ -24,7 +24,11 @@ journal-index order.
 Citation models:
 
 * ``discrete_lognormal(mu, sigma)``: floor(exp(Normal(mu, sigma))), support
-  {0, 1, ...}; its exact mean is the series sum_{k>=1} P(X >= k).
+  {0, 1, ...}, each draw capped at MAX_CITATIONS (a draw whose exp would
+  overflow is capped too, without a warning); its exact mean is the series
+  sum_{k>=1} P(X >= k), and ``mean()`` and ``variance()`` raise ConfigError
+  when that series has not converged within MOMENT_TERMS (2e6) terms, as for
+  a large ``mu``.
 * ``zipf(alpha, c_max)``: P(k) proportional to k**-alpha on {1..c_max},
   c_max at most ZIPF_MAX_C_MAX (10**7); its table is built once per model.
 
@@ -67,6 +71,9 @@ ZIPF_MAX_C_MAX = 10**7
 #: size), the cap that Schema B puts on one journal's n_2y.  Configs are
 #: checked against it when built, before anything is drawn.
 MAX_ROWS = 2**31 - 1
+
+#: Most terms of the series that DiscreteLognormal's mean and variance sum.
+MOMENT_TERMS = 2_000_000
 
 
 def _check_ints(model, *names: str) -> None:
@@ -155,8 +162,13 @@ class DiscreteLognormal:
             raise ConfigError(f"sigma must be > 0, got {self.sigma}")
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        raw = np.floor(np.exp(gen.normal(self.mu, self.sigma, size=n)))
-        return np.minimum(raw, MAX_CITATIONS).astype(np.int64)
+        draws = gen.normal(self.mu, self.sigma, size=n)
+        # exp(22) is above MAX_CITATIONS, so a larger draw is capped anyway;
+        # clipping first keeps exp from overflowing (past 709.78) and warning
+        np.minimum(draws, 22.0, out=draws)
+        np.exp(draws, out=draws)
+        np.minimum(draws, MAX_CITATIONS, out=draws)
+        return draws.astype(np.int64)  # truncation is floor: no exp is negative
 
     def _survival(self, k: int) -> float:
         # P(exp(N) >= k) = P(N >= ln k)
@@ -173,9 +185,13 @@ class DiscreteLognormal:
             mean += s
             second += (2 * k - 1) * s
             k += 1
-            if (s < 1e-15 and k > math.exp(self.mu)) or k > 2_000_000:
-                break
-        return mean, second
+            if s < 1e-15 and k > math.exp(self.mu):
+                return mean, second
+            if k > MOMENT_TERMS:
+                raise ConfigError(
+                    f"discrete_lognormal mu={self.mu} sigma={self.sigma}: mean and "
+                    f"variance series not converged after {MOMENT_TERMS} terms"
+                )
 
     def mean(self) -> float:
         return self._moments()[0]

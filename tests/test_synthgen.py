@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -238,6 +239,16 @@ class RecordingStream(io.StringIO):
         return super().write(text)
 
 
+class LastWriteStream(io.TextIOBase):
+    """A text stream that keeps only its last write."""
+
+    last = ""
+
+    def write(self, text):
+        self.last = text
+        return len(text)
+
+
 class TestWriter:
     @pytest.mark.parametrize("seed", [1, 3, 101])
     @pytest.mark.parametrize(
@@ -271,6 +282,18 @@ class TestWriter:
         assert out.getvalue() == reference_csv(config)
         last = journal_citations(config, 99_999, 1)[0]
         assert out.getvalue().endswith(f"\nS100000,S100000,S100000-P000001,article,{last}\n")
+
+    def test_seven_digit_paper_numbers(self):
+        # paper numbers are zero-padded to six digits and widen past 999,999
+        config = SynthConfig(1, FixedSizes(1_000_001), DiscreteLognormal(0.5, 1.2), seed=5)
+        out = LastWriteStream()
+        assert write_corpus_csv(config, out) == 1_000_001
+        last = journal_citations(config, 0, 1_000_001)[-3:].tolist()
+        papers = ["S00001-P999999", "S00001-P1000000", "S00001-P1000001"]
+        assert out.last.splitlines()[-3:] == [
+            f"S00001,S00001,{paper},article,{c}" for paper, c in zip(papers, last)
+        ]
+        assert out.last.endswith("\n")
 
     def test_writes_at_most_a_block_of_rows_at_a_time(self):
         # one journal's rows are not joined into one string, whatever its size
@@ -468,6 +491,49 @@ class TestModelSanity:
         total_n = sum(a.n_2y for a in corpus.journals.values())
         se = math.sqrt(model.variance() / total_n)
         assert abs(total_c / total_n - model.mean()) <= 3 * se
+
+
+class TestLargeMu:
+    """A discrete lognormal whose exp overflows, or whose moments do not converge."""
+
+    def test_overflowed_draws_are_capped_without_a_warning(self):
+        config = SynthConfig(3, FixedSizes(4), DiscreteLognormal(mu=800, sigma=1), seed=1)
+        out = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert write_corpus_csv(config, out) == 12
+            counts = journal_citations(config, 1, 4)
+        assert counts.tolist() == [MAX_CITATIONS] * 4
+        rows = out.getvalue().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == [str(MAX_CITATIONS)] * 12
+
+    def test_counts_are_the_capped_floor_of_exp(self):
+        # mu=360, sigma=200: some draws overflow, some are capped, some are small
+        model = DiscreteLognormal(mu=360, sigma=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = model.sample(np.random.Generator(np.random.PCG64(3)), 2000)
+        normals = np.random.Generator(np.random.PCG64(3)).normal(360, 200, size=2000)
+        assert (normals > 710).any() and (normals < 21).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the overflow, as numpy warns of it
+            expected = np.minimum(np.floor(np.exp(normals)), MAX_CITATIONS)
+        assert counts.tolist() == expected.astype(np.int64).tolist()
+        assert 0 < (counts == MAX_CITATIONS).sum() < 2000
+
+    @pytest.mark.parametrize("mu", [20, 800])
+    def test_unconverged_moments_raise(self, mu):
+        model = DiscreteLognormal(mu=mu, sigma=1)
+        message = f"discrete_lognormal mu={mu} sigma=1: mean and variance series not converged"
+        with pytest.raises(ConfigError, match=message):
+            model.mean()
+        with pytest.raises(ConfigError, match=message):
+            model.variance()
+
+    def test_default_mean_is_unchanged(self):
+        model = SynthConfig.default().citation_model
+        assert round(model.mean(), 4) == 2.9022
+        assert math.isclose(model.mean(), 2.9021889239999923, rel_tol=1e-12)
 
 
 class TestBinnedStats:

@@ -1,13 +1,14 @@
 """Corpus-level volatility products: rankings, threshold tables, scatter data.
 
 All computation is a pure map over journals, run in one thread, then a heap
-top-k over the exact key and threshold counts.  Both read each report's values
-as integer numerators and denominators and compare them by cross-multiplying,
-and the writers render the same integers, so no ``Fraction`` is made per
-report except for the public points of :func:`scatter_data`.  Identical
-corpora serialize to identical bytes on every run.  Journals that cannot be
-ranked (single-paper journals, or undefined relative volatility) go to a
-sidecar exclusion list, never dropped silently.
+top-k over the exact key, or threshold counts from one pass that bisects each
+report's value into the cuts and keeps only a histogram.  Both read each
+report's values as integer numerators and denominators and compare them by
+cross-multiplying, and the writers render the same integers, so no
+``Fraction`` is made per report except for the public points of
+:func:`scatter_data`.  Identical corpora serialize to identical bytes on every
+run.  Journals that cannot be ranked (single-paper journals, or undefined
+relative volatility) go to a sidecar exclusion list, never dropped silently.
 """
 
 from __future__ import annotations
@@ -98,9 +99,22 @@ def volatility_reports(
     holds its journal's counts, and no ``Fraction`` is made.  ``max_workers``
     is accepted for compatibility and ignored: the work runs in one thread.
     """
-    ordered = [corpus.journals[jid] for jid in sorted(corpus.journals)]
-    excluded = [Exclusion(a.journal_id, "singleton_journal") for a in ordered if a.n_2y < 2]
-    return [top_paper_volatility(a) for a in ordered if a.n_2y >= 2], excluded
+    ranked, excluded = _split_singletons(corpus.journals)
+    return [top_paper_volatility(a) for a in ranked], excluded
+
+
+def _split_singletons(journals: dict) -> tuple[list, list[Exclusion]]:
+    """The values of ``journals``, aggregates or reports of counts keyed by
+    journal_id, that have ``n_2y >= 2``, and a ``singleton_journal``
+    exclusion for each of the rest, both in journal_id order."""
+    ranked, excluded = [], []
+    for journal_id in sorted(journals):
+        journal = journals[journal_id]
+        if journal.n_2y < 2:
+            excluded.append(Exclusion(journal.journal_id, "singleton_journal"))
+        else:
+            ranked.append(journal)
+    return ranked, excluded
 
 
 def _key_index(key: RankKey) -> int:
@@ -168,6 +182,10 @@ def threshold_table(
 
     Membership is strict (value > cut p/q, tested as q * num > p * den).
     Thresholds must be strictly increasing, so counts are non-increasing.
+
+    One pass over the reports, holding nothing per report: the cuts a value
+    exceeds are a prefix of them, so a bisection finds how many, and a
+    histogram of those numbers gives each cut's count as a suffix sum.
     """
     cuts = [Fraction(t) for t in thresholds]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -175,18 +193,26 @@ def threshold_table(
             raise InvalidThresholdsError(
                 f"thresholds must be strictly increasing, got {lo} before {hi}"
             )
+    pairs = [(cut.numerator, cut.denominator) for cut in cuts]
     index = _key_index(key)
-    nums, dens = [], []  # ints, which the garbage collector does not track
+    exceeded = [0] * (len(cuts) + 1)  # exceeded[i]: values above exactly i cuts
     for report in reports:
         v = report._pairs()
-        if v[index + 1]:
-            nums.append(v[index])
-            dens.append(v[index + 1])
-    total = len(nums)
+        num, den = v[index], v[index + 1]
+        if den:
+            lo, hi = 0, len(pairs)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                p, q = pairs[mid]
+                if q * num > p * den:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            exceeded[lo] += 1
+    total = count = sum(exceeded)
     rows = []
-    for cut in cuts:
-        p, q = cut.numerator, cut.denominator
-        count = sum(q * num > p * den for num, den in zip(nums, dens))
+    for cut, below in zip(cuts, exceeded):
+        count -= below  # the values above cut i are those above more than i cuts
         percent = Fraction(count, total) if total else Fraction(0)
         rows.append(ThresholdRow(cut, count, percent))
     return ThresholdTable(key=key, rows=tuple(rows), journals_ranked=total)

@@ -39,9 +39,21 @@ def _parse_cuts(text: str, key: analytics.RankKey) -> list[Fraction]:
     return cuts
 
 
-def _load_reports(path: str):
-    corpus, _ = ingest.load_corpus(path)
-    reports, excluded = analytics.volatility_reports(corpus)
+def _report(journal_id: str, name: str, total: int, n_2y: int, top: int):
+    """The report of counts that the reading commands keep of a journal,
+    with no name (a maker for ``ingest._parse``)."""
+    return metrics.VolatilityReport._from_counts(journal_id, total, n_2y, top)
+
+
+def _load_reports(path: str) -> list:
+    """The reports of ``volatility_reports(load_corpus(path))``, and its
+    ``excluded`` JSON on stderr after the parse's warnings, from one parse
+    that keeps one report of counts per journal and no aggregate or name.
+
+    Singletons stay in the parse's dict of kept journals, so that a later
+    row with the same id is still a duplicate, and leave the reports here."""
+    journals = ingest._parse(path, make=_report)[0].journals
+    reports, excluded = analytics._split_singletons(journals)
     if excluded:
         payload = [{"journal_id": e.journal_id, "reason": e.reason} for e in excluded]
         print(json.dumps({"excluded": payload}), file=sys.stderr)

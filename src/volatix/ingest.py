@@ -347,11 +347,12 @@ def parse_paper_level(source: Source):
     return _parse(source, "papers")
 
 
-def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog) -> None:
+def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog, make) -> None:
     """The Schema-B row loop over the rows after the header line: check each
     row's counts, reject it with a warning if no journal can have them or its
     journal_id is empty, then apply the cleaning rules of :func:`_admit` and
-    keep what passes in ``journals``."""
+    keep what passes in ``journals``, as ``make(journal_id, name, total,
+    n_2y, top)`` (see :func:`_parse`)."""
     dropped: set[str] = set()
     for row in rows:
         if len(row) != 5:
@@ -378,7 +379,7 @@ def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog) -> None:
         fault = _aggregate_fault(journal_id, total, n_2y, top) if journal_id else "empty journal_id"
         if fault is None:
             if _admit(journals, dropped, journal_id, total, n_2y, log):
-                journals[journal_id] = _checked_aggregate(journal_id, name, total, n_2y, top)
+                journals[journal_id] = make(journal_id, name, total, n_2y, top)
         else:
             log.rows_rejected += 1
             log.citations_removed += total
@@ -396,7 +397,7 @@ def parse_aggregate(source: Source):
     return _parse(source, "journals")
 
 
-def _parse(source: Source, schema: Optional[str] = None):
+def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate):
     """Parse ``source`` as ``schema``, or as its header says when ``schema``
     is None; returns ``(Corpus, CleaningLog)``.
 
@@ -404,9 +405,16 @@ def _parse(source: Source, schema: Optional[str] = None):
     header :func:`_header` reads.  After an exact plain Schema-A header the
     chunked stage reads the rows; after any other, ``csv`` reads them from
     ``_InputReader.lines``.
+
+    Each kept journal, singletons included, is stored in the corpus as
+    ``make(journal_id, name, total, n_2y, top)`` of counts that
+    :func:`_aggregate_fault` passes: a ``JournalAggregate`` by default, for
+    the public parsers, or whatever the caller needs of those counts (the
+    CLI's reading commands make a report and drop the name).  The cleaning
+    log, the warnings and the provenance do not depend on ``make``.
     """
     log = CleaningLog()
-    journals: dict[str, JournalAggregate] = {}
+    journals: dict = {}
     acc: dict[str, list] = {}  # Schema A: journal_id -> [name, total, top, n_citable]
     is_path = isinstance(source, (str, Path))
     with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
@@ -422,7 +430,7 @@ def _parse(source: Source, schema: Optional[str] = None):
                 if schema == "papers":
                     _parse_paper_rows(rows, 1, acc, log)
                 else:
-                    _parse_aggregate_rows(rows, journals, log)
+                    _parse_aggregate_rows(rows, journals, log, make)
             except csv.Error as exc:
                 raise _csv_error(exc, rows, 1) from None
     for journal_id, (name, total, top, n) in acc.items():
@@ -434,7 +442,7 @@ def _parse(source: Source, schema: Optional[str] = None):
         if n == 1:
             log.singletons_excluded += 1
         # valid by construction: top <= total <= n * top, as a max and a sum of n counts
-        journals[journal_id] = _checked_aggregate(journal_id, name, total, n, top)
+        journals[journal_id] = make(journal_id, name, total, n, top)
         log.citations_kept += total
     log.journals_kept = len(journals)
     provenance = Provenance(src.hasher.hexdigest(), schema)

@@ -26,9 +26,9 @@ Citation models:
 * ``discrete_lognormal(mu, sigma)``: floor(exp(Normal(mu, sigma))), support
   {0, 1, ...}, each draw capped at MAX_CITATIONS (a draw whose exp would
   overflow is capped too, without a warning); its exact mean is the series
-  sum_{k>=1} P(X >= k), and ``mean()`` and ``variance()`` raise ConfigError
-  when that series has not converged within MOMENT_TERMS (2e6) terms, as for
-  a large ``mu``.
+  sum_{k>=1} P(X >= k), and ``mean()`` and ``variance()`` raise ConfigError,
+  before summing it, when that series would not converge within MOMENT_TERMS
+  (2e6) terms, as for a large ``mu``.
 * ``zipf(alpha, c_max)``: P(k) proportional to k**-alpha on {1..c_max},
   c_max at most ZIPF_MAX_C_MAX (10**7); its table is built once per model.
 
@@ -177,21 +177,24 @@ class DiscreteLognormal:
 
     def _moments(self) -> tuple[float, float]:
         # E[X] = sum_{k>=1} P(X>=k); E[X^2] = sum_{k>=1} (2k-1) P(X>=k)
+        # The sum stops after term k once P(X>=k) < 1e-15 and k + 1 > exp(mu).
+        # Both tests only become true as k grows, so it stops within
+        # MOMENT_TERMS terms iff they hold at k = MOMENT_TERMS; the second is
+        # taken in logs, as exp(mu) overflows for a large mu.
+        if not (self._survival(MOMENT_TERMS) < 1e-15 and self.mu < math.log(MOMENT_TERMS + 1)):
+            raise ConfigError(
+                f"discrete_lognormal mu={self.mu} sigma={self.sigma}: mean and "
+                f"variance series not converged after {MOMENT_TERMS} terms"
+            )
         mean = 0.0
         second = 0.0
-        k = 1
-        while True:
+        for k in range(1, MOMENT_TERMS + 1):
             s = self._survival(k)
             mean += s
             second += (2 * k - 1) * s
-            k += 1
-            if s < 1e-15 and k > math.exp(self.mu):
-                return mean, second
-            if k > MOMENT_TERMS:
-                raise ConfigError(
-                    f"discrete_lognormal mu={self.mu} sigma={self.sigma}: mean and "
-                    f"variance series not converged after {MOMENT_TERMS} terms"
-                )
+            if s < 1e-15 and k + 1 > math.exp(self.mu):
+                break
+        return mean, second
 
     def mean(self) -> float:
         return self._moments()[0]

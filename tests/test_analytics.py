@@ -11,6 +11,7 @@ from volatix.analytics import (
     DEFAULT_ABSOLUTE_CUTS,
     DEFAULT_RELATIVE_CUTS,
     RankKey,
+    ThresholdRow,
     dataset_summary,
     rank_by_volatility,
     scatter_data,
@@ -52,6 +53,43 @@ def random_reports(rng, n):
         report_with(f"J{i:03d}", Fraction(rng.randint(0, 400), rng.randint(1, 100)))
         for i in range(n)
     ]
+
+
+small_fractions = st.fractions(min_value=-3, max_value=30, max_denominator=40)
+
+
+@st.composite
+def count_report(draw, undefined_rel: bool):
+    """A report of counts (C, N_2Y, c*); with ``undefined_rel``, C = c*, so
+    that f* = 0 and delta_f_rel is undefined."""
+    n = draw(st.integers(2, 40))
+    top = draw(st.integers(0, 60))
+    total = top if undefined_rel else draw(st.integers(top, n * top))
+    return VolatilityReport._from_counts(draw(st.sampled_from("ABC")), total, n, top)
+
+
+@st.composite
+def given_report(draw, undefined_rel: bool):
+    """A report made with the public constructor, of any given values."""
+    delta_f = draw(small_fractions)
+    rel = None if undefined_rel else draw(st.none() | small_fractions)
+    return VolatilityReport("G", delta_f + 1, Fraction(1), 1, delta_f, rel, 10)
+
+
+@st.composite
+def threshold_cases(draw):
+    """Reports of both kinds, a key, strictly increasing cuts (none, or some
+    equal to report values, to test strictness) and whether to pass the
+    reports as a generator."""
+    undefined_rel = draw(st.booleans())  # every relative value undefined
+    kinds = count_report(undefined_rel) | given_report(undefined_rel)
+    reports = draw(st.lists(kinds, max_size=25))
+    key = draw(st.sampled_from(RankKey))
+    field = "delta_f" if key is RankKey.ABSOLUTE else "delta_f_rel"
+    values = [getattr(r, field) for r in reports if getattr(r, field) is not None]
+    pool = small_fractions | st.sampled_from(values) if values else small_fractions
+    cuts = sorted(draw(st.sets(pool, max_size=8)))
+    return reports, key, cuts, draw(st.booleans())
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +240,20 @@ class TestThresholdTable:
         table = threshold_table(reports, RankKey.RELATIVE, [Fraction(1)])
         assert table.journals_ranked == 1
         assert table.rows[0].count == 1
+
+    @given(threshold_cases())
+    def test_counts_match_a_fraction_count(self, case):
+        reports, key, cuts, as_generator = case
+        table = threshold_table(iter(reports) if as_generator else reports, key, cuts)
+        field = "delta_f" if key is RankKey.ABSOLUTE else "delta_f_rel"
+        ranked = [getattr(r, field) for r in reports if getattr(r, field) is not None]
+        counts = [sum(value > cut for value in ranked) for cut in cuts]
+        assert table.key is key
+        assert table.journals_ranked == len(ranked)
+        assert table.rows == tuple(
+            ThresholdRow(cut, count, Fraction(count, len(ranked)) if ranked else Fraction(0))
+            for cut, count in zip(cuts, counts)
+        )
 
     def test_presets_are_strictly_increasing(self):
         assert list(DEFAULT_ABSOLUTE_CUTS) == sorted(DEFAULT_ABSOLUTE_CUTS)

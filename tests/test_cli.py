@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volatix import analytics, ingest, synthgen
-from volatix.cli import main
+from volatix.cli import _load_reports, main
 
 
 def run_cli(capsys, *argv):
@@ -375,6 +376,145 @@ class TestPipelineComposability:
         buf = io.StringIO()
         analytics.write_ranked_csv(table, buf)
         assert buf.getvalue() == rank_out
+
+
+class _Events(logging.Handler):
+    """volatix's log records, at every level, and the text written to
+    ``sys.stderr``, in one list in the order they came."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.events = []
+
+    def emit(self, record):
+        self.events.append((record.levelname, record.getMessage()))
+
+    def write(self, text):
+        if self.events and self.events[-1][0] == "stderr":
+            text = self.events.pop()[1] + text
+        self.events.append(("stderr", text))
+
+    def flush(self):
+        pass
+
+
+def recorded(load, path):
+    """``load(path)`` and the events it made (see :class:`_Events`)."""
+    events = _Events()
+    logger = logging.getLogger("volatix")
+    level = logger.level
+    logger.addHandler(events)
+    logger.setLevel(logging.DEBUG)
+    try:
+        with contextlib.redirect_stderr(events):
+            return load(path), events.events
+    finally:
+        logger.removeHandler(events)
+        logger.setLevel(level)
+
+
+def library_reports(path):
+    """The reading commands' reports as the library makes them, with the
+    ``excluded`` JSON line that they print."""
+    reports, excluded = analytics.volatility_reports(ingest.load_corpus(path)[0])
+    if excluded:
+        payload = [{"journal_id": e.journal_id, "reason": e.reason} for e in excluded]
+        print(json.dumps({"excluded": payload}), file=sys.stderr)
+    return reports
+
+
+def assert_loads_as_the_library(path):
+    got, got_events = recorded(_load_reports, str(path))
+    expected, expected_events = recorded(library_reports, path)
+    assert got == expected
+    assert [(r.journal_id, r._pairs()) for r in got] == [
+        (r.journal_id, r._pairs()) for r in expected
+    ]
+    assert got_events == expected_events
+    return got, got_events
+
+
+SCHEMA_B_EDGES = """journal_id,journal_name,total_citations,n_2y,top_paper_citations
+J9,Single,5,1,5
+J2,Zero,0,3,0
+J9,Repeat of a singleton,9,3,4
+J2,Shadowed by a zero row,9,3,4
+,Empty id,3,2,2
+J4,Top above total,3,2,9
+J5,Negative,-1,2,1
+J6,Normal,6,3,2
+J0,First,10,4,5
+J7,Another single,3,1,3
+J7,Its repeat,3,1,3
+J8,Top below the average,10,2,3
+"""
+
+SCHEMA_A_BODY = """J9,Single,p1,article,5
+J9,Single,p2,front_matter,2
+J2,Zero,p3,article,0
+J2,Zero,p4,review,0
+,Empty id,p5,article,3
+J4,Unknown type,p6,letter,4
+J4,Negative,p7,article,-2
+J4,Normal,p8,article,4
+J4,Normal,p9,review,1
+J0,First,p10,article,2
+J0,First,p11,article,2
+J7,Another single,p12,review,3
+J9,Single again,p13,front_matter,1
+"""
+
+
+class TestLoadReports:
+    """The reading commands' one parse gives the reports, exclusions and
+    stderr of ``volatility_reports(load_corpus(path))``."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SCHEMA_B_EDGES,
+            "journal_id,journal_name,paper_id,item_type,citations\n" + SCHEMA_A_BODY,
+            # a quoted header: csv reads every row, with no chunked stage
+            '"journal_id","journal_name","paper_id","item_type","citations"\n' + SCHEMA_A_BODY,
+        ],
+        ids=["journals", "papers", "papers-quoted-header"],
+    )
+    def test_edge_rows(self, tmp_path, text):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        reports, events = assert_loads_as_the_library(path)
+        assert [r.journal_id for r in reports] == (["J0", "J4"] if "paper_id" in text else ["J0", "J6"])
+        singletons = [
+            {"journal_id": "J7", "reason": "singleton_journal"},
+            {"journal_id": "J9", "reason": "singleton_journal"},
+        ]
+        assert events[-1] == ("stderr", json.dumps({"excluded": singletons}) + "\n")
+        assert ("WARNING", "line 6: empty journal_id, row rejected") in events
+
+    @pytest.mark.parametrize(
+        "name", ["top_absolute_2017.csv", "top_relative_2017.csv", "papers_sample.csv"]
+    )
+    def test_bundled_data(self, data_dir, name):
+        assert_loads_as_the_library(data_dir / name)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "C", "D", ""]),
+                st.integers(-1, 12),
+                st.integers(0, 4),
+                st.integers(0, 12),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_schema_b_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "drawn_journals.csv"
+        lines = [",".join(ingest.AGGREGATE_HEADER)]
+        lines += [f"{jid},name,{total},{n},{top}" for jid, total, n, top in rows]
+        path.write_text("\n".join(lines) + "\n")
+        assert_loads_as_the_library(path)
 
 
 class TestOutFile:

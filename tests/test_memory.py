@@ -1,9 +1,9 @@
 """Memory gates for the Schema-B commands, traced with ``tracemalloc``.
 
-A corpus holds one aggregate and one report per journal, so what each costs
-decides the footprint of every command.  The input is a 2e4-journal Schema-B
-file, sizes log-uniform 2-1000 as in the default synthetic corpus, written in
-pure Python.
+A corpus holds one aggregate per journal, and the reading commands one report
+per journal, so what each costs decides the footprint of every command.  The
+input is a 2e4-journal Schema-B file, sizes log-uniform 2-1000 as in the
+default synthetic corpus, written in pure Python.
 """
 
 import math
@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from volatix import analytics, ingest
+from volatix import analytics, cli, ingest
 from volatix.ingest import AGGREGATE_HEADER
 
 N_JOURNALS = 20_000
@@ -65,3 +65,36 @@ def test_parse_peak_is_at_most_a_quarter_above_the_corpus(journals_file, traced)
     live, peak = tracemalloc.get_traced_memory()
     assert log.journals_kept == len(corpus.journals) == N_JOURNALS
     assert (peak - before) <= 1.25 * (live - before)
+
+
+def traced_peak(make):
+    """``make()`` and how far the traced heap rose above its start while it ran."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    result = make()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+def test_cli_reports_peak_at_most_65_percent_of_corpus_then_reports(journals_file, traced):
+    library, library_peak = traced_peak(
+        lambda: analytics.volatility_reports(ingest.load_corpus(journals_file)[0])
+    )
+    del library
+    reports, cli_peak = traced_peak(lambda: cli._load_reports(str(journals_file)))
+    assert len(reports) == N_JOURNALS
+    # one report of counts per journal, kept straight from the parse, against
+    # a corpus of named aggregates and then its reports: 0.57 here
+    assert cli_peak <= 0.65 * library_peak
+
+
+@pytest.mark.parametrize("key", list(analytics.RankKey))
+def test_threshold_table_holds_nothing_per_report(journals_file, traced, key):
+    reports = cli._load_reports(str(journals_file))
+    cuts = {
+        analytics.RankKey.ABSOLUTE: analytics.DEFAULT_ABSOLUTE_CUTS,
+        analytics.RankKey.RELATIVE: analytics.DEFAULT_RELATIVE_CUTS,
+    }[key]
+    table, peak = traced_peak(lambda: analytics.threshold_table(reports, key, cuts))
+    assert table.rows[0].count > 0
+    # a list of each report's key would be 2e4 ints, over 1 MB
+    assert peak < 64 * 1024

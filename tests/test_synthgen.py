@@ -536,6 +536,24 @@ class TestLargeMu:
         assert math.isclose(model.mean(), 2.9021889239999923, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("mu, sigma", [(20, 1), (800, 1), (3, 1.5)])
+def test_lognormal_refusal_does_not_walk_the_series(monkeypatch, mu, sigma):
+    calls = []
+    survival = DiscreteLognormal._survival
+
+    def counted(model, k):
+        calls.append(k)
+        return survival(model, k)
+
+    monkeypatch.setattr(DiscreteLognormal, "_survival", counted)
+    model = DiscreteLognormal(mu=mu, sigma=sigma)
+    for moment in (model.mean, model.variance):
+        calls.clear()
+        with pytest.raises(ConfigError, match="series not converged after 2000000 terms"):
+            moment()
+        assert len(calls) <= 2
+
+
 class TestBinnedStats:
     def make_reports(self, n_journals=3000, seed=5):
         config = SynthConfig(

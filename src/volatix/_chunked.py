@@ -1,22 +1,23 @@
 """The chunked Schema-A stage: plain lines parsed with numpy, in chunks.
 
 :func:`volatix.ingest._parse` imports this module, and with it numpy, only
-after a header spelled exactly as PAPER_HEADER, so every other command runs
-without numpy.  The input is then read in chunks of about ``_CHUNK_BYTES``
-(128 KiB), and numpy parses the lines of each.  A plain line (five fields, a
-journal_id of 1-64 bytes, an item type spelled exactly, 1-10 ASCII digits
-of in-range citations, and no quote but an optional pair around the whole
-name) is added into per-journal numpy arrays, so Python work is per new
-journal rather than per row.  Any other record (a blank line, a bad field, a
-rejected row, a quote elsewhere, a quoted field spanning lines) goes through
-the ``csv`` row loop on its own, in line order, with the same counters and
-line numbers, so every error and warning comes from that loop; then the
-chunked stage goes on after it.  The acceptance gate times this parse of a
-million rows with ``tracemalloc`` on, which charges every Python object, so
-the chunked stage is what keeps it within its bound.
+after a Schema-A header, so the other commands run without numpy.  The
+input is then read in chunks of about ``_CHUNK_BYTES`` (128 KiB), and numpy
+parses the lines of each.  A plain line (five fields, each bare or quoted
+from its first byte to its last with no other quote, a journal_id of 1-64
+bytes, an item type spelled exactly, 1-10 ASCII digits of in-range
+citations, and commas in a quoted name only) is added into per-journal numpy
+arrays, so Python work is per new journal rather than per row.  Any other
+record (a blank line, a bad field, a rejected row, a stray quote, a quoted
+field spanning lines) goes through the ``csv`` row loop on its own, in line
+order, with the same counters and line numbers, so every error and warning
+comes from that loop; then the chunked stage goes on after it.  So a file
+parses as it would if ``csv`` read every row.  The acceptance gate times
+this parse of a million rows with ``tracemalloc`` on, which charges every
+Python object, so the chunked stage is what keeps it within its bound.
 
 ``_CHUNK_BYTES``, the input reader and the row loop stay in
-:mod:`volatix.ingest`, which the ``csv``-only read shares; this module looks
+:mod:`volatix.ingest`, which the Schema-B parse shares; this module looks
 the chunk size and the row loop up there on each call, so there is one of
 each.
 
@@ -196,10 +197,10 @@ class _Chunk:
         b = np.frombuffer(data, dtype=np.uint8)
         ends = np.flatnonzero(b == _LF) + 1  # one past each line's end
         starts = np.concatenate(([0], ends[:-1]))
-        lines, fields, quoted, self.citations, self.citable = _plain_lines(data, b, starts, ends)
+        lines, inner_start, inner_end, self.citations, self.citable = _plain_lines(data, b, starts, ends)
         self.lines, self.n_lines = lines, len(ends)
         self.odd_runs = _odd_runs(lines, starts, ends)
-        keys = _id_keys(b, starts[lines], fields[:, 0])
+        keys = _id_keys(b, inner_start[0], inner_end[0])
         run_start = np.ones(len(keys), dtype=bool)
         run_start[1:] = keys[1:] != keys[:-1]
         self.heads = np.flatnonzero(run_start)
@@ -208,8 +209,7 @@ class _Chunk:
         self.unknown = np.flatnonzero(self.slots < 0)  # into heads
         at = self.heads[self.unknown]  # into lines
         self.unknown_keys, self.unknown_lines = keys[at], lines[at].tolist()
-        id_end, quoted = fields[at, 0], quoted[at]
-        bounds = (starts[lines[at]], id_end, id_end + 1 + quoted, fields[at, 1] - quoted)
+        bounds = (inner_start[0, at], inner_end[0, at], inner_start[1, at], inner_end[1, at])
         self.unknown_bounds = np.stack(bounds, axis=1).tolist()
         self.unknown_slots: list[int] = []
 
@@ -254,28 +254,31 @@ def _odd_runs(lines, starts, ends) -> list:
 
 def _plain_lines(data: bytes, b, starts, ends):
     """The plain lines among those from ``starts`` to just before ``ends``:
-    their indices, fields and quoted flags (see _five_fields), citations and
-    citable flags."""
+    their indices, the inner starts and ends of their journal_ids and names
+    (each of shape (2, n); see _five_fields), citations and citable flags."""
     stops = ends - 1 - (b[ends - 2] == _CR)  # without the line break
-    lines, fields, quoted, plain = _five_fields(data, b, starts, ends, stops)
-    citations, citable, ok = _citations_and_types(b, fields, stops[lines])
-    found = lines, fields, quoted, citations, citable
+    lines, inner_start, inner_end, plain = _five_fields(data, b, starts, ends, stops)
+    citations, citable, ok = _citations_and_types(b, inner_start[3:], inner_end[3:])
+    found = lines, inner_start[:2], inner_end[:2], citations, citable
     ok &= plain
-    return found if ok.all() else tuple(array[ok] for array in found)
+    return found if ok.all() else tuple(array[..., ok] for array in found)
 
 
 def _five_fields(data: bytes, b, starts, ends, stops):
     """The lines that have five fields at their first and last three commas:
-    their indices, those commas (shape (n, 4)), whether the name is quoted
-    and whether csv splits the line there too.
+    their indices, the inner start and end of each field (two arrays of
+    shape (5, n), a row per field: journal_id, name, paper_id, item type and
+    citations) and whether csv reads the line as those five fields, with the
+    same inner bytes.
 
     Such a line has no NUL or bare ``\\r``, is not blank and is no longer than
-    csv's field size limit.  csv splits it there, and it is kept, if it has a
-    journal_id of 1 to _MAX_ID_BYTES bytes (the row loop rejects an empty one)
-    and either has four commas and no ``"``, or its only two ``"`` quote the
-    name: one is right after the first comma and one right before the
-    third-from-last comma, which is not the first, so a comma in the name is
-    part of it.
+    csv's field size limit.  csv reads it so, and it is kept, if each field is
+    bare, with no ``"``, or quoted from its first byte to its last (its inner
+    bytes go from the byte after one ``"`` to the byte before the other),
+    with no other ``"`` in the line: so the line holds two ``"`` for each
+    quoted field.  Only a quoted name may hold a comma, which is then part of
+    it.  The journal_id must have 1 to _MAX_ID_BYTES inner bytes (the row
+    loop rejects an empty one).
     """
     commas = np.flatnonzero(b == _COMMA)
     last = np.searchsorted(commas, ends)
@@ -288,28 +291,35 @@ def _five_fields(data: bytes, b, starts, ends, stops):
         ok[np.searchsorted(ends, np.flatnonzero(b == 0), side="right")] = False
     lines = np.flatnonzero(ok)
     first, last = first[lines], last[lines]
-    fields = commas[np.stack((first, last - 3, last - 2, last - 1), axis=1)]
     plain = last - first == 4
-    quoted = np.zeros(len(lines), dtype=bool)
+    inner_end = np.vstack((commas[np.stack((first, last - 3, last - 2, last - 1))], stops[lines]))
+    inner_start = np.vstack((starts[lines], inner_end[:4] + 1))
     if b'"' in data:
-        quotes = np.diff(np.searchsorted(np.flatnonzero(b == _QUOTE), ends), prepend=0)[lines]
-        opening, closing = fields[:, 0] + 1, fields[:, 1] - 1
-        quoted = (quotes == 2) & (closing > opening)
-        quoted &= (b[opening] == _QUOTE) & (b[closing] == _QUOTE)
-        plain = quoted | plain & (quotes == 0)
-    id_bytes = fields[:, 0] - starts[lines]
+        quoted = (b[inner_start] == _QUOTE) & (b[inner_end - 1] == _QUOTE)
+        quoted &= inner_end - inner_start >= 2
+        inner_start += quoted
+        inner_end -= quoted
+        plain |= quoted[1]  # a quoted name may hold commas
+        # A line holds at least two quotes per quoted field, so if the chunk
+        # holds just that many, so does every line.
+        quote = b == _QUOTE
+        if np.count_nonzero(quote) != 2 * np.count_nonzero(quoted):
+            quotes = np.diff(np.searchsorted(np.flatnonzero(quote), ends), prepend=0)[lines]
+            plain &= quotes == 2 * quoted.sum(axis=0)
+    id_bytes = inner_end[0] - inner_start[0]
     plain &= (id_bytes > 0) & (id_bytes <= _MAX_ID_BYTES)
-    return lines, fields, quoted, plain
+    return lines, inner_start, inner_end, plain
 
 
-def _citations_and_types(b, fields, stops):
-    """Citations and citable flags of lines split at ``fields``, and which of
-    them have an item type spelled exactly and 1-10 ASCII digits of citations
-    in range."""
-    n = len(fields)
+def _citations_and_types(b, inner_start, inner_end):
+    """Citations and citable flags of lines whose item types (row 0) and
+    citations (row 1) are the inner bytes from ``inner_start`` to just before
+    ``inner_end``, and which of them have an item type spelled exactly and
+    1-10 ASCII digits of citations in range."""
+    (type_start, digits_start), (type_end, digits_end) = inner_start, inner_end
+    n = len(type_start)
     # Item types: the length picks the candidate, then every byte must match.
-    type_start = fields[:, 2] + 1
-    type_len = fields[:, 3] - type_start
+    type_len = type_end - type_start
     known = np.zeros(n, dtype=bool)
     citable = np.zeros(n, dtype=bool)
     for token, is_citable in _ITEM_TYPES:
@@ -318,11 +328,14 @@ def _citations_and_types(b, fields, stops):
         rows = rows[(spelled == np.frombuffer(token, dtype=np.uint8)).all(axis=1)]
         known[rows] = True
         citable[rows] = is_citable
-    # Citations: the last _MAX_DIGITS bytes of each line, right-aligned.
-    digit_pos = stops[:, None] + np.arange(-_MAX_DIGITS, 0)
-    in_field = digit_pos > fields[:, 3:4]
-    digits = np.where(in_field, b[np.maximum(digit_pos, 0)] - _ZERO, 0)
-    n_digits = stops - fields[:, 3] - 1
+    # Citations: the last _MAX_DIGITS bytes of each field, right-aligned.
+    # digit_pos, the parse's largest temporary, is clamped in place and freed
+    # before the product below casts the digits to int64.
+    digit_pos = digits_end[:, None] + np.arange(-_MAX_DIGITS, 0)
+    in_field = digit_pos >= digits_start[:, None]
+    digits = np.where(in_field, b[np.maximum(digit_pos, 0, out=digit_pos)] - _ZERO, 0)
+    del digit_pos, in_field
+    n_digits = digits_end - digits_start
     citations = digits @ _DIGIT_WEIGHTS
     ok = (
         known
@@ -335,10 +348,12 @@ def _citations_and_types(b, fields, stops):
 
 
 def _id_keys(b, starts, ends):
-    """A key for each journal_id ``b[start:end]``: a uint64 if none is longer
-    than 8 bytes, else fixed-width ``S`` bytes.  Plain lines hold no NUL and
-    go on for at least 8 bytes from their start, so zeroing the bytes past
-    the id keeps the keys of different ids apart."""
+    """A key for each journal_id ``b[start:end]``, its inner bytes: a uint64
+    if none is longer than 8 bytes, else fixed-width ``S`` bytes.  Plain lines
+    hold no NUL and go on for at least 8 bytes from the inner start of their
+    id (a 1-byte id, four commas, a 6-byte item type, a digit and ``\\n``), so
+    zeroing the bytes past the id keeps the keys of different ids apart, and
+    a quoted id and a bare one with the same inner bytes have one key."""
     lengths = ends - starts
     width = int(lengths.max(initial=0))
     if width <= 8:
@@ -372,8 +387,8 @@ def _take_lines(src: _InputReader, cut: int, taken: int, table: _Slots, log) -> 
 
 
 def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
-    """Parse the input as Schema A in chunks, from ``src.pos``, just after a
-    header spelled exactly as PAPER_HEADER.
+    """Parse the input as Schema A in chunks, from ``src.pos``, just after
+    its header line.
 
     A chunk is read only once every whole line read before it is taken, so a
     line before an invalid byte is parsed before the byte raises.

@@ -49,12 +49,11 @@ then the parse raises
 the byte's 0-based offset in the file.  ``csv`` reads the header line of
 either schema.
 
-Schema A is parsed in two stages, and only the input picks between them.
-After a header spelled exactly as PAPER_HEADER, the chunked stage of
-:mod:`volatix._chunked` parses plain lines with numpy and sends every other
-record through the ``csv`` row loop here, in line order.  That module, and
-numpy with it, is imported only then.  A header that only ``csv`` reads (a
-quoted one, say) sends the whole file through the row loop.
+Schema A has one parse path.  After any header that ``csv`` reads as
+PAPER_HEADER, quoted or not, the chunked stage of :mod:`volatix._chunked`
+parses plain lines with numpy and sends every other record through the
+``csv`` row loop here, in line order.  That module, and numpy with it, is
+imported only for Schema A.
 """
 
 from __future__ import annotations
@@ -244,10 +243,9 @@ def _csv_error(exc: csv.Error, rows, first_line: int) -> MalformedRowError:
     return MalformedRowError(str(exc), first_line + rows.line_num)
 
 
-def _header(src: _InputReader, expected: Optional[str] = None) -> tuple[str, bool]:
+def _header(src: _InputReader, expected: Optional[str] = None) -> str:
     """Read the header line of ``src`` with csv and return its schema,
-    'papers' or 'journals', and whether its bytes are a PAPER_HEADER line
-    spelled exactly, which the chunked stage reads after.
+    'papers' or 'journals'.
 
     With ``expected`` named, any other header raises ``bad header``, and an
     empty input is that schema with no rows; otherwise a header of neither
@@ -266,7 +264,7 @@ def _header(src: _InputReader, expected: Optional[str] = None) -> tuple[str, boo
         raise MalformedRowError(
             f"bad header {header!r}, expected {_HEADERS[expected]!r}", line=1
         )
-    return found or expected, src.data[: src.pos] in _PAPER_HEADER_LINES
+    return found or expected
 
 
 def _parse_count(value: str, line: int, column: str) -> int:
@@ -286,9 +284,6 @@ def _parse_count(value: str, line: int, column: str) -> int:
 # volatix._chunked).  Its numpy temporaries are a few times this, so it is
 # kept small next to the CLI's resident memory.
 _CHUNK_BYTES = 128 * 1024
-_PAPER_HEADER_LINES = tuple(
-    ",".join(PAPER_HEADER).encode("ascii") + end for end in (b"\n", b"\r\n")
-)
 _ITEM_KINDS = {kind.value: kind for kind in ItemType}
 
 
@@ -338,11 +333,10 @@ def parse_paper_level(source: Source):
     corpus.  Front-matter rows are counted as read and removed but never touch
     C or N_2Y.
 
-    The input picks the stage: after an exact plain header, plain lines are
-    parsed in numpy chunks and every other record by ``csv``, one at a time,
-    in line order; after any other header (a quoted one, say) ``csv`` reads
-    every row (see :mod:`volatix._chunked`).  Both stages read the input's one
-    reader, so results, errors and warnings are the same either way.
+    Plain lines, whose fields are bare or wholly quoted, are parsed in numpy
+    chunks and every other record by ``csv``, in line order, through the
+    input's one reader (see :mod:`volatix._chunked`), so results, errors and
+    warnings are those of ``csv`` reading every row.
     """
     return _parse(source, "papers")
 
@@ -402,9 +396,8 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
     is None; returns ``(Corpus, CleaningLog)``.
 
     The input is opened once and read once, through one _InputReader, whose
-    header :func:`_header` reads.  After an exact plain Schema-A header the
-    chunked stage reads the rows; after any other, ``csv`` reads them from
-    ``_InputReader.lines``.
+    header :func:`_header` reads.  The chunked stage reads Schema-A rows;
+    ``csv`` reads Schema-B rows from ``_InputReader.lines``.
 
     Each kept journal, singletons included, is stored in the corpus as
     ``make(journal_id, name, total, n_2y, top)`` of counts that
@@ -419,18 +412,15 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
     is_path = isinstance(source, (str, Path))
     with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
         src = _InputReader(raw)
-        schema, exact = _header(src, schema)
-        if exact:
+        schema = _header(src, schema)
+        if schema == "papers":
             from ._chunked import _parse_chunked  # it imports numpy, which Schema B does without
 
             _parse_chunked(src, acc, log)
         else:
             rows = csv.reader(src.lines())
             try:
-                if schema == "papers":
-                    _parse_paper_rows(rows, 1, acc, log)
-                else:
-                    _parse_aggregate_rows(rows, journals, log, make)
+                _parse_aggregate_rows(rows, journals, log, make)
             except csv.Error as exc:
                 raise _csv_error(exc, rows, 1) from None
     for journal_id, (name, total, top, n) in acc.items():
@@ -591,7 +581,7 @@ def write_journals_csv(corpus: Corpus, dest: Union[str, Path, io.TextIOBase]) ->
 def sniff_schema(path: Union[str, Path]) -> str:
     """Return 'papers' or 'journals' from a file's header line."""
     with open(path, "rb") as fh:
-        return _header(_InputReader(fh))[0]
+        return _header(_InputReader(fh))
 
 
 def load_corpus(path: Union[str, Path]):

@@ -474,7 +474,7 @@ class TestLoadReports:
         [
             SCHEMA_B_EDGES,
             "journal_id,journal_name,paper_id,item_type,citations\n" + SCHEMA_A_BODY,
-            # a quoted header: csv reads every row, with no chunked stage
+            # a quoted header: the chunked stage reads the rows, as after an exact one
             '"journal_id","journal_name","paper_id","item_type","citations"\n' + SCHEMA_A_BODY,
         ],
         ids=["journals", "papers", "papers-quoted-header"],

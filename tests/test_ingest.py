@@ -82,13 +82,14 @@ class TestParsePaperLevel:
         assert exc.value.column == "citations"
 
     @pytest.mark.parametrize("text", ["1_0", " +3 ", "+3", "\u0663", "3.0", "", "-", "--3"])
-    @pytest.mark.parametrize("quoted_header", [False, True])
-    def test_citations_must_be_ascii_digits(self, text, quoted_header):
-        # the bad line reaches csv through the handoff, or csv reads from line 1
+    @pytest.mark.parametrize("every_row", [False, True])
+    def test_citations_must_be_ascii_digits(self, text, every_row, monkeypatch):
+        # the bad line reaches csv through the handoff, or csv reads every row
+        if every_row:
+            read_every_row_with_csv(monkeypatch)
         rows = BASIC_ROWS + [("J", "Journal J", "p4", "article", text)]
-        raw = papers_csv(rows).getvalue()
         with pytest.raises(MalformedRowError) as exc:
-            parse_paper_level(io.BytesIO(quote_header(raw) if quoted_header else raw))
+            parse_paper_level(papers_csv(rows))
         assert (exc.value.line, exc.value.column) == (5, "citations")
 
     def test_negative_citations_rejected_not_fatal(self):
@@ -206,16 +207,40 @@ def filler_rows(min_bytes, name="Journal {}", seed=0):
     return rows
 
 
-def schema_a(lines, *, eol="\n", bom=False, final_eol=True):
-    text = eol.join([",".join(PAPER_HEADER)] + lines) + (eol if final_eol else "")
+# Schema-A header lines that csv reads as PAPER_HEADER: exact, with every
+# field quoted, and with only the first quoted
+HEADER_LINES = [
+    ",".join(PAPER_HEADER),
+    ",".join(f'"{column}"' for column in PAPER_HEADER),
+    '"journal_id",' + ",".join(PAPER_HEADER[1:]),
+]
+
+
+def schema_a(lines, *, eol="\n", bom=False, final_eol=True, header=HEADER_LINES[0]):
+    text = eol.join([header] + lines) + (eol if final_eol else "")
     return (codecs.BOM_UTF8 if bom else b"") + text.encode()
 
 
-def quote_header(raw):
-    """``raw`` with its header's first field quoted: a header only csv reads,
-    so csv parses the whole input from line 1."""
-    assert raw.startswith(b"journal_id,")
-    return b'"journal_id"' + raw[len(b"journal_id") :]
+def read_every_row_with_csv(patch):
+    """Make ``patch`` (a MonkeyPatch) replace the chunked stage with the csv
+    row loop alone: csv reads every row after the header."""
+
+    def parse_rows(src, acc, log):
+        rows = csv.reader(src.lines())
+        try:
+            ingest._parse_paper_rows(rows, 1, acc, log)
+        except csv.Error as exc:
+            raise ingest._csv_error(exc, rows, 1) from None
+
+    patch.setattr(_chunked, "_parse_chunked", parse_rows)
+
+
+def csv_only(raw):
+    """What parse_outcome(raw) gives when csv reads every row: the reference
+    for the chunked stage."""
+    with pytest.MonkeyPatch.context() as patch:
+        read_every_row_with_csv(patch)
+        return parse_outcome(raw)
 
 
 def reference_parse(rows):
@@ -363,10 +388,10 @@ class TestChunkedHandoff:
         assert_matches_reference(raw, rows, caplog)
 
     @pytest.mark.parametrize("where", ["plain-line", "after-handoff"])
-    def test_decode_error_matches_a_csv_read(self, where, caplog):
+    def test_decode_error_matches_a_csv_read(self, where):
         # An invalid byte in a line the chunked parse would otherwise take, or
-        # after the handoff: either must raise what a read with csv from the
-        # start raises, after the same warnings, wherever the byte falls among
+        # after the handoff: either must raise what a read with csv alone
+        # raises, after the same warnings, wherever the byte falls among
         # multibyte characters and reads.
         filler = filler_rows(ingest._CHUNK_BYTES, name="Revue n°{} ½")
         odd = ["LAST,Last,x1,article,-1"] if where == "after-handoff" else []
@@ -375,19 +400,10 @@ class TestChunkedHandoff:
             raw = schema_a(lines + odd + lines[-1000:])
             raw = raw[:-20000] + b"\xff" + raw[-20000:]
             offset = raw.index(b"\xff")
-            errors = []
-            for data in (raw, quote_header(raw)):
-                caplog.clear()
-                with caplog.at_level(logging.INFO, logger="volatix.ingest"):
-                    with pytest.raises(MalformedRowError) as exc:
-                        parse_paper_level(io.BytesIO(data))
-                errors.append((str(exc.value), exc.value.line, warned_lines(caplog)))
             line = raw.count(b"\n", 0, offset) + 1
-            warned = [len(lines) + 2] if odd else []
-            message = "invalid UTF-8 byte 0xff at offset {} (line %d)" % line
-            assert errors[0] == (message.format(offset), line, warned)
-            # the quoted header adds two bytes before the invalid one
-            assert errors[1] == (message.format(offset + 2), line, warned)
+            error = (f"invalid UTF-8 byte 0xff at offset {offset} (line {line})", line)
+            warned = [f"line {len(lines) + 2}: citations -1 out of range, row rejected"] if odd else []
+            assert parse_outcome(raw) == csv_only(raw) == (error, warned)
 
     @pytest.mark.parametrize("chunk", [32, 64, 100])
     def test_rows_before_an_invalid_byte_come_first(self, monkeypatch, chunk):
@@ -399,10 +415,9 @@ class TestChunkedHandoff:
         end = raw.index(b"\n", raw.index(b"LAST")) + 1
         for at in range(end, len(raw) + 1):
             bad = raw[:at] + b"\xff" + raw[at:]
-            for data in (bad, quote_header(bad)):
-                with pytest.raises(MalformedRowError, match="expected 5 fields") as exc:
-                    parse_paper_level(io.BytesIO(data))
-                assert exc.value.line == 7
+            outcome = parse_outcome(bad)
+            assert outcome == csv_only(bad)
+            assert outcome == (("expected 5 fields, got 4 (line 7)", 7), [])
 
     def test_byte_order_mark_inside_data_is_kept(self, caplog):
         # The handoff line starts with U+FEFF, which only the first bytes of
@@ -458,12 +473,25 @@ def parse_outcome(raw):
     return outcome, handler.messages
 
 
-# journal ids: non-ASCII, 8 and 9 bytes, longer than a key may be, and "AB"
-# next to "AB\0", which only csv may read
-JOURNAL_IDS = ["AB", "AB\0", "J", "Zé", "ABCDEFGH", "ABCDEFGHI", "Ünïcødé-ID-42", "L" * 70, ""]
+# journal ids: non-ASCII, 8 and 9 bytes, as long as a key may be and one
+# byte longer, and "AB" next to "AB\0", which only csv may read
+JOURNAL_IDS = ["AB", "AB\0", "J", "Zé", "ABCDEFGH", "ABCDEFGHI", "Ünïcødé-ID-42", "K" * 64, "L" * 65, ""]
 RECORDS = {
     "plain": "{id},Name {n},p{n},{kind},{c}",
     "quoted-name": '{id},"Name, {n}, Série",p{n},{kind},{c}',
+    # every field quoted, as by csv.QUOTE_ALL, or every string, as by
+    # csv.QUOTE_NONNUMERIC
+    "quote-all": '"{id}","Name, {n}","p{n}","{kind}","{c}"',
+    "quote-nonnumeric": '"{id}","Name {n}","p{n}","{kind}",{c}',
+    "quoted-id": '"{id}",Name {n},p{n},{kind},{c}',
+    "quoted-paper-id": '{id},Name {n},"p{n}",{kind},{c}',
+    "quoted-type": '{id},Name {n},p{n},"{kind}",{c}',
+    "quoted-citations": '{id},Name {n},p{n},{kind},"{c}"',
+    "quoted-id-with-comma": '"{id},{n}",Name {n},p{n},{kind},{c}',
+    "half-quoted-paper-id": '{id},Name {n},"p"{n},{kind},{c}',
+    "empty-quoted-fields": '{id},"","",{kind},{c}',
+    "empty-quoted-type": '{id},Name {n},p{n},"",{c}',
+    "empty-quoted-citations": '{id},Name {n},p{n},{kind},""',
     "empty-quoted-name": '{id},"",p{n},{kind},{c}',
     "escaped-quote": '{id},"Name ""{n}""",p{n},{kind},{c}',
     "spans-two-lines": '{id},"Name{eol}{n}",p{n},{kind},{c}',
@@ -477,12 +505,13 @@ RECORDS = {
     "blank": "",
     "bare-cr": "{id},Name {n},p{n},{kind},{c}\r{id},Name,q{n},{kind},{c}",
 }
-COMMON = ["plain", "plain", "plain", "quoted-name", "quoted-name"]
+COMMON = ["plain", "plain", "plain", "quoted-name", "quoted-name", "quote-all", "quote-nonnumeric", "quoted-id"]
 
 
 @st.composite
 def schema_a_files(draw):
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.sampled_from(HEADER_LINES))
     kinds = st.sampled_from(COMMON * 8 + list(RECORDS))
     records = draw(
         st.lists(
@@ -496,37 +525,28 @@ def schema_a_files(draw):
         RECORDS[record].format(id=jid, n=n, kind=kind, c=c, eol=eol)
         for n, (record, jid, kind, c) in enumerate(records)
     ]
-    return schema_a(lines, eol=eol, bom=draw(st.booleans()), final_eol=draw(st.booleans()))
+    bom, final_eol = draw(st.booleans()), draw(st.booleans())
+    return schema_a(lines, eol=eol, bom=bom, final_eol=final_eol, header=header)
 
 
 class TestChunkedAgainstCsv:
-    """The chunked parse gives what csv gives from line 1."""
+    """The chunked parse gives what csv gives reading every row (csv_only)."""
 
     # csv reads the header over as many reads as it takes, so any size works.
     @settings(max_examples=300, deadline=None)
     @given(raw=schema_a_files(), tiny=st.integers(1, 64))
     def test_chunked_parse_equals_a_csv_read(self, raw, tiny):
-        bom = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
-        csv_only = parse_outcome(raw[:bom] + quote_header(raw[bom:]))
+        expected = csv_only(raw)
         for chunk in (ingest._CHUNK_BYTES, tiny):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ingest, "_CHUNK_BYTES", chunk)
-                assert parse_outcome(raw) == csv_only
+                assert parse_outcome(raw) == expected
 
-    def test_csv_reads_only_the_records_that_are_not_plain(self, monkeypatch):
-        # a papers-mixed-shaped file: quoted names, shuffled rows, CRLF, and
-        # two rejected rows in the middle
-        rng = random.Random(7)
-        lines = [
-            f'M{j:03d},"Annales de Física, Série {j}",M{j:03d}-{p},{rng.choice(KINDS)},{rng.randint(0, 40)}'
-            for j in range(300)
-            for p in range(rng.randint(2, 12))
-        ]
-        rng.shuffle(lines)
-        middle = len(lines) // 2
-        lines[middle:middle] = ["M007,Rejected,M007-X1,article,-3", "M011,Rejected,M011-X2,editorial,4"]
-        raw = schema_a(lines, eol="\r\n")
-        expected = parse_outcome(quote_header(raw))
+    @staticmethod
+    def assert_csv_reads_only_the_rejected_rows(monkeypatch, raw, middle):
+        """The parse of ``raw`` equals csv_only(raw), and the csv row loop
+        reads only the two rows named Rejected, at lines middle + 2 and 3."""
+        expected = csv_only(raw)
         read = []
         parse_rows = ingest._parse_paper_rows
 
@@ -550,6 +570,41 @@ class TestChunkedAgainstCsv:
         assert [row[1] for row in read] == ["Rejected", "Rejected"]
         assert [message.split(":")[0] for message in expected[1]] == [f"line {middle + 2}", f"line {middle + 3}"]
 
+    def test_csv_reads_only_the_records_that_are_not_plain(self, monkeypatch):
+        # a papers-mixed-shaped file: quoted names, shuffled rows, CRLF, and
+        # two rejected rows in the middle
+        rng = random.Random(7)
+        lines = [
+            f'M{j:03d},"Annales de Física, Série {j}",M{j:03d}-{p},{rng.choice(KINDS)},{rng.randint(0, 40)}'
+            for j in range(300)
+            for p in range(rng.randint(2, 12))
+        ]
+        rng.shuffle(lines)
+        middle = len(lines) // 2
+        lines[middle:middle] = ["M007,Rejected,M007-X1,article,-3", "M011,Rejected,M011-X2,editorial,4"]
+        self.assert_csv_reads_only_the_rejected_rows(monkeypatch, schema_a(lines, eol="\r\n"), middle)
+
+    @pytest.mark.parametrize(
+        "quoting", [csv.QUOTE_ALL, csv.QUOTE_NONNUMERIC], ids=["quote-all", "quote-nonnumeric"]
+    )
+    def test_csv_reads_only_the_rejected_rows_of_a_quoted_export(self, monkeypatch, quoting):
+        # as csv.writer writes every field or every string quoted, the header
+        # included, with CRLF; two rejected rows in the middle
+        rng = random.Random(11)
+        rows = [
+            [f"Q{j:03d}", f"Revue, {j}", f"Q{j:03d}-{p}", rng.choice(KINDS), rng.randint(0, 40)]
+            for j in range(300)
+            for p in range(rng.randint(2, 12))
+        ]
+        rng.shuffle(rows)
+        middle = len(rows) // 2
+        rows[middle:middle] = [["Q007", "Rejected", "Q007-X1", "article", -3], ["Q011", "Rejected", "Q011-X2", "editorial", 4]]
+        out = io.StringIO()
+        csv.writer(out, quoting=quoting, lineterminator="\r\n").writerows([PAPER_HEADER] + rows)
+        raw = out.getvalue().encode()
+        assert raw.startswith(b'"journal_id","journal_name",')
+        self.assert_csv_reads_only_the_rejected_rows(monkeypatch, raw, middle)
+
     def test_csv_reads_a_buffer_of_cr_lines_at_once(self, monkeypatch):
         # After an LF header, rows that end in a bare "\r" hold no "\n", so
         # every buffer is one line longer than a chunk to the chunked stage.
@@ -560,7 +615,7 @@ class TestChunkedAgainstCsv:
         rows = filler_rows(40 * 1024)
         raw = schema_a([",".join(row) for row in rows], eol="\r")
         raw = raw.replace(b"\r", b"\n", 1)
-        expected = parse_outcome(quote_header(raw))
+        expected = csv_only(raw)
         reads, calls = [], []
         more, csv_records = ingest._InputReader.more, _chunked._csv_records
 
@@ -593,7 +648,7 @@ class TestChunkedAgainstCsv:
             return chunk(data, table)
 
         monkeypatch.setattr(_chunked, "_Chunk", recording_chunk)
-        assert parse_outcome(raw) == parse_outcome(quote_header(raw))
+        assert parse_outcome(raw) == csv_only(raw)
         assert len(chunks) >= 30 and max(chunks) <= 2 * 1024
 
 
@@ -883,10 +938,10 @@ class TestEmptyJournalIds:
     """An empty journal_id is a rejected row, in either schema and stage."""
 
     @pytest.mark.parametrize("stage", ["chunked", "csv"])
-    def test_schema_a_rows_are_rejected(self, stage, caplog):
+    def test_schema_a_rows_are_rejected(self, stage, caplog, monkeypatch):
         raw = schema_a([",,p1,article,3", "J,Jay,p2,article,4", ",,p3,article,1", "J,Jay,p4,review,2"])
-        if stage == "csv":
-            raw = quote_header(raw)
+        if stage == "csv":  # the row loop alone, as reference
+            read_every_row_with_csv(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="volatix.ingest"):
             corpus, log = parse_paper_level(io.BytesIO(raw))
         assert list(corpus.journals) == ["J"]
@@ -940,8 +995,9 @@ class TestHeapTrim:
         load_corpus(papers_sample)
         assert calls == [0]
         parse_aggregate(journals_csv([("J", "J", 5, 2, 3)]))
-        parse_paper_level(io.BytesIO(quote_header(schema_a(["J,Jay,p1,article,4"]))))
-        assert calls == [0]  # only the chunked stage trims
+        assert calls == [0]  # Schema B does not trim
+        parse_paper_level(io.BytesIO(schema_a(["J,Jay,p1,article,4"], header=HEADER_LINES[1])))
+        assert calls == [0, 0]  # every Schema-A parse does, whatever its header
         monkeypatch.setattr(_chunked, "_GLIBC", None)  # off glibc: nothing to call
         corpus, _ = load_corpus(papers_sample)
         assert corpus.journals
@@ -1093,8 +1149,8 @@ class TestSerialization:
         corpus, _ = load_corpus(path)
         assert (opened, len(readers)) == ([path], 1)
         assert corpus.provenance.digest == hashlib.sha256(path.read_bytes()).hexdigest()
-        # sniff_schema, and a read after a header that only csv reads (Schema B
-        # or Schema A by the fixture): one reader each, that csv reads from
+        # sniff_schema, and a read after a quoted header (Schema B or Schema A
+        # by the fixture): one reader each, that csv reads from
         quoted = tmp_path / "quoted.csv"
         quoted.write_bytes(b'"journal_id"' + path.read_bytes()[len(b"journal_id") :])
         monkeypatch.setattr(ingest.csv, "reader", recording_csv_reader)

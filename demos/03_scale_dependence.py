@@ -45,7 +45,7 @@ def main():
     print("=" * 72)
 
     start = time.perf_counter()
-    corpus = generate_corpus(config, keep_papers=False)
+    corpus = generate_corpus(config)
     reports, _ = volatility_reports(corpus)
     stats = clt_binned_stats(reports, [2, 20, 200, 2000])
     elapsed = time.perf_counter() - start

@@ -76,7 +76,6 @@ from .metrics import (
     MAX_CITATIONS,
     ItemType,
     JournalAggregate,
-    PaperRecord,
     _aggregate_fault,
     _checked_aggregate,
 )
@@ -148,10 +147,9 @@ class Provenance:
 
 @dataclass
 class Corpus:
-    """Cleaned journal aggregates, optionally with the raw per-paper records."""
+    """Cleaned journal aggregates and their provenance; no per-paper records."""
 
     journals: dict[str, JournalAggregate]
-    papers: Optional[list[PaperRecord]] = None
     provenance: Optional[Provenance] = None
 
     def __len__(self) -> int:
@@ -423,17 +421,12 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
                 _parse_aggregate_rows(rows, journals, log, make)
             except csv.Error as exc:
                 raise _csv_error(exc, rows, 1) from None
+    dropped: set[str] = set()
     for journal_id, (name, total, top, n) in acc.items():
-        if total == 0:
-            # no citable output (n == 0), or none of it cited: the zero/NA analogue
-            log.zero_or_na_removed += 1
-            logger.info("journal %r removed: zero or no citable output", journal_id)
-            continue
-        if n == 1:
-            log.singletons_excluded += 1
-        # valid by construction: top <= total <= n * top, as a max and a sum of n counts
-        journals[journal_id] = make(journal_id, name, total, n, top)
-        log.citations_kept += total
+        # no citable output (n == 0), or none of it cited, has total 0: the zero/NA analogue
+        if _admit(journals, dropped, journal_id, total, n, log):
+            # valid by construction: top <= total <= n * top, as a max and a sum of n counts
+            journals[journal_id] = make(journal_id, name, total, n, top)
     log.journals_kept = len(journals)
     provenance = Provenance(src.hasher.hexdigest(), schema)
     return Corpus(journals=journals, provenance=provenance), log
@@ -444,7 +437,9 @@ def _admit(
 ) -> bool:
     """Apply the duplicate / zero-or-NA / singleton rules to one journal's
     counts, and say whether the journal is kept; the caller stores a kept
-    journal in ``journals`` before the next call.
+    journal in ``journals`` before the next call.  Both parsers and
+    :func:`dedupe_and_filter` keep journals only through it.  Schema A sums
+    each id's rows first, so there only the zero and singleton rules apply.
 
     An id seen before is either kept, so in ``journals``, or was dropped by
     the zero filter, so in ``dropped``: ``_admit`` remembers only the ids it
@@ -479,11 +474,9 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     """
     if isinstance(raw, Corpus):
         aggregates: Iterable[JournalAggregate] = raw.journals.values()
-        papers = raw.papers
         provenance = raw.provenance
     else:
         aggregates = raw
-        papers = None
         provenance = None
     log = CleaningLog()
     journals: dict[str, JournalAggregate] = {}
@@ -498,7 +491,7 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
         elif _admit(journals, dropped, agg.journal_id, agg.total_citations, agg.n_2y, log):
             journals[agg.journal_id] = agg
     log.journals_kept = len(journals)
-    return Corpus(journals=journals, papers=papers, provenance=provenance), log
+    return Corpus(journals=journals, provenance=provenance), log
 
 
 def _create_temp(target: str, dest) -> tuple[int, str]:

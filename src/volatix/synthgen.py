@@ -55,13 +55,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import PAPER_HEADER, Corpus, Provenance, _open_out
-from .metrics import (
-    MAX_CITATIONS,
-    ItemType,
-    JournalAggregate,
-    PaperRecord,
-    _checked_aggregate,
-)
+from .metrics import MAX_CITATIONS, JournalAggregate, _checked_aggregate
 
 # The largest zipf c_max: its table is two float64 arrays of c_max values,
 # 160 MB at this size.
@@ -345,7 +339,9 @@ class SynthConfig:
     def from_json_file(cls, path: Union[str, Path]) -> "SynthConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+            # integer literal over int's digit limit
             raise ConfigError(f"bad synth config JSON: {exc}") from exc
         return cls.from_dict(data)
 
@@ -473,29 +469,29 @@ def _draws(config: SynthConfig) -> Iterator[tuple[str, np.ndarray]]:
             yield next(ids), sample(gen, size)
 
 
-def generate_corpus(config: SynthConfig, *, keep_papers: bool = True) -> Corpus:
-    """Build the synthetic corpus: aggregates always, paper records on demand.
+def generate_corpus(config: SynthConfig, *, keep_papers: bool = False) -> Corpus:
+    """Build the synthetic corpus's journal aggregates; byte-reproducible for
+    a given config.
 
-    Byte-reproducible for a given config.  With ``keep_papers`` (the default)
-    the corpus carries one PaperRecord per paper; switch it off for large
-    corpora where only the aggregates matter.
+    The corpus holds no per-paper records: :func:`write_corpus_csv` (the
+    ``volatix synth`` command) writes the per-paper rows.  ``keep_papers``
+    is accepted only as False, and goes once no caller passes it;
+    ``keep_papers=True`` raises ConfigError.
     """
+    if keep_papers:
+        raise ConfigError(
+            "generate_corpus keeps no paper records; write them with write_corpus_csv"
+        )
     journals: dict[str, JournalAggregate] = {}
-    papers: Optional[list[PaperRecord]] = [] if keep_papers else None
     for jid, counts in _draws(config):
         # n >= 1 counts in [0, MAX_CITATIONS]: their sum and max are valid
         journals[jid] = _checked_aggregate(
             jid, jid, int(counts.sum()), len(counts), int(counts.max())
         )
-        if papers is not None:
-            papers.extend(
-                PaperRecord(jid, f"{jid}-P{i:06d}", c, ItemType.ARTICLE)
-                for i, c in enumerate(counts.tolist(), start=1)
-            )
     digest = hashlib.sha256(
         json.dumps(config.as_dict(), sort_keys=True).encode()
     ).hexdigest()
-    return Corpus(journals=journals, papers=papers, provenance=Provenance(digest, "synthetic"))
+    return Corpus(journals=journals, provenance=Provenance(digest, "synthetic"))
 
 
 #: Most paper rows joined into one write: about 0.6 MB of text, whatever the

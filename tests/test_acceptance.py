@@ -205,7 +205,7 @@ def _desk_scale_threshold_bytes(max_workers: int) -> bytes:
         citation_model=synthgen.DiscreteLognormal(mu=0.5, sigma=1.2),
         seed=20170809,
     )
-    corpus = synthgen.generate_corpus(config, keep_papers=False)
+    corpus = synthgen.generate_corpus(config)
     cleaned, _ = ingest.dedupe_and_filter(corpus)
     reports, _ = analytics.volatility_reports(cleaned, max_workers=max_workers)
     table = analytics.threshold_table(reports, RankKey.ABSOLUTE, DEFAULT_ABSOLUTE_CUTS)
@@ -243,7 +243,7 @@ def test_c09_scale_dependence_demonstration():
         citation_model=synthgen.DiscreteLognormal(mu=0.5, sigma=1.2),
         seed=20170901,
     )
-    corpus = synthgen.generate_corpus(config, keep_papers=False)
+    corpus = synthgen.generate_corpus(config)
     reports, _ = analytics.volatility_reports(corpus)
     stats = synthgen.clt_binned_stats(reports, [2, 20, 200, 2000])
     elapsed = time.perf_counter() - start

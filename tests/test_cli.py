@@ -341,6 +341,25 @@ class TestSynthAndScatter:
         assert err.startswith("volatix: bad synth config JSON: 'utf-8' codec can't decode")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "9" * 5000), ("n_journals", "9" * 5000), (None, "[" * 100_000)],
+        ids=["5000-digit-seed", "5000-digit-n_journals", "deep-nesting"],
+    )
+    def test_config_json_past_a_limit_is_one_line_error(self, capsys, data_dir, tmp_path,
+                                                        key, value):
+        # int()'s digit limit, where Python has one, and the recursion limit
+        text = value
+        if key is not None:
+            base = json.loads((data_dir / "synth_config.json").read_text())
+            text = json.dumps({**base, key: 0}).replace(f'"{key}": 0', f'"{key}": {value}')
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "synth", str(config))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("volatix: ") and "Traceback" not in err
+
 
 class TestPipelineComposability:
     def test_cli_pipeline_matches_library(self, capsys, tmp_path):
@@ -365,7 +384,7 @@ class TestPipelineComposability:
         )
 
         # library path over the same data
-        corpus = synthgen.generate_corpus(config, keep_papers=False)
+        corpus = synthgen.generate_corpus(config)
         cleaned, _ = ingest.dedupe_and_filter(corpus)
         reports, _ = analytics.volatility_reports(cleaned)
         buf = io.StringIO()

@@ -1043,6 +1043,15 @@ class TestDedupeAndFilter:
         assert log2.duplicates_removed == 0
         assert log2.zero_or_na_removed == 0
 
+    def test_provenance_kept_from_a_corpus_only(self, absolute_fixture):
+        parsed, _ = parse_aggregate(absolute_fixture)
+        cleaned, _ = dedupe_and_filter(parsed)
+        assert cleaned.provenance is parsed.provenance
+        assert cleaned.journals == parsed.journals
+        bare, _ = dedupe_and_filter(parsed.journals.values())
+        assert bare.provenance is None
+        assert bare.journals == parsed.journals
+
     def test_exact_accounting(self):
         aggs = [self.agg("A", 10), self.agg("A", 20), self.agg("Z", 0), self.agg("B", 7)]
         corpus, log = dedupe_and_filter(aggs)

@@ -187,13 +187,13 @@ class TestDeterminism:
         assert first.getvalue() == second.getvalue()
 
     def test_different_seed_different_corpus(self):
-        a = generate_corpus(small_config(seed=1), keep_papers=False)
-        b = generate_corpus(small_config(seed=2), keep_papers=False)
+        a = generate_corpus(small_config(seed=1))
+        b = generate_corpus(small_config(seed=2))
         assert a.journals != b.journals
 
     def test_aggregates_reproducible(self):
-        a = generate_corpus(small_config(), keep_papers=False)
-        b = generate_corpus(small_config(), keep_papers=False)
+        a = generate_corpus(small_config())
+        b = generate_corpus(small_config())
         assert a.journals == b.journals
 
     def test_per_journal_streams_independent_of_corpus_size(self):
@@ -386,16 +386,27 @@ class TestGeneration:
         assert list(Counter(row[0] for row in rows).values()) == sizes.tolist()
 
     def test_aggregates_consistent_with_papers(self):
-        corpus = generate_corpus(small_config(), keep_papers=True)
-        assert len(corpus.papers) == 1000
+        config = small_config()
+        corpus = generate_corpus(config)
+        out = io.StringIO()
+        write_corpus_csv(config, out)
+        _, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert len(rows) == 1000
         by_journal = {}
-        for p in corpus.papers:
-            by_journal.setdefault(p.journal_id, []).append(p.citations)
+        for journal_id, _, _, _, citations in rows:
+            by_journal.setdefault(journal_id, []).append(int(citations))
+        assert by_journal.keys() == corpus.journals.keys()
         for jid, counts in by_journal.items():
             agg = corpus.journals[jid]
             assert agg.total_citations == sum(counts)
             assert agg.top_cited == max(counts)
             assert agg.n_2y == len(counts)
+
+    def test_corpus_keeps_no_paper_records(self):
+        config = small_config()
+        with pytest.raises(ConfigError, match="write_corpus_csv"):
+            generate_corpus(config, keep_papers=True)
+        assert generate_corpus(config, keep_papers=False) == generate_corpus(config)
 
     def test_log_uniform_sizes_in_range(self):
         config = SynthConfig(
@@ -460,7 +471,7 @@ class TestModelSanity:
             citation_model=ZipfTruncated(alpha=2.0, c_max=5000),
             seed=123,
         )
-        corpus = generate_corpus(config, keep_papers=False)
+        corpus = generate_corpus(config)
         total_c = sum(a.total_citations for a in corpus.journals.values())
         total_n = sum(a.n_2y for a in corpus.journals.values())
         # independent oracle: mean and variance of the truncated power law
@@ -486,7 +497,7 @@ class TestModelSanity:
         assert math.isclose(model.mean(), expected, rel_tol=1e-9)
 
         config = small_config(n_journals=20_000)
-        corpus = generate_corpus(config, keep_papers=False)
+        corpus = generate_corpus(config)
         total_c = sum(a.total_citations for a in corpus.journals.values())
         total_n = sum(a.n_2y for a in corpus.journals.values())
         se = math.sqrt(model.variance() / total_n)
@@ -562,7 +573,7 @@ class TestBinnedStats:
             citation_model=DiscreteLognormal(mu=0.5, sigma=1.2),
             seed=seed,
         )
-        corpus = generate_corpus(config, keep_papers=False)
+        corpus = generate_corpus(config)
         reports, _ = volatility_reports(corpus)
         return reports
 

@@ -6,15 +6,24 @@ input is then read in chunks of about ``_CHUNK_BYTES`` (128 KiB), and numpy
 parses the lines of each.  A plain line (five fields, each bare or quoted
 from its first byte to its last with no other quote, a journal_id of 1-64
 bytes, an item type spelled exactly, 1-10 ASCII digits of in-range
-citations, and commas in a quoted name only) is added into per-journal numpy
-arrays, so Python work is per new journal rather than per row.  Any other
-record (a blank line, a bad field, a rejected row, a stray quote, a quoted
-field spanning lines) goes through the ``csv`` row loop on its own, in line
-order, with the same counters and line numbers, so every error and warning
-comes from that loop; then the chunked stage goes on after it.  So a file
-parses as it would if ``csv`` read every row.  The acceptance gate times
-this parse of a million rows with ``tracemalloc`` on, which charges every
-Python object, so the chunked stage is what keeps it within its bound.
+citations, and commas in a quoted name only) is added into numpy arrays
+indexed by journal slot, so Python work is per new journal rather than per
+row.  Any other record (a blank line, a bad field, a rejected row, a stray
+quote, a quoted field spanning lines) goes through the ``csv`` row loop on
+its own, in line order, with the same counters and line numbers, so every
+error and warning comes from that loop; then the chunked stage goes on after
+it.  So a file parses as it would if ``csv`` read every row.  The acceptance
+gate times this parse of a million rows with ``tracemalloc`` on, which
+charges every Python object, so the chunked stage is what keeps it within
+its bound.
+
+Both stages keep each journal once, in one table (:class:`_Slots`): its
+journal_id, its first name and its sums, at a slot given in order of first
+appearance.  The row loop gets a journal's slot from the table too, and
+sums the rows ``csv`` reads in Python, per journal, which go into the arrays
+once, at the end.  The parse then drops the table's lookups and yields the
+journals in slot order, which :func:`volatix.ingest._parse` admits and
+builds as they come.
 
 ``_CHUNK_BYTES``, the input reader and the row loop stay in
 :mod:`volatix.ingest`, which the Schema-B parse shares; this module looks
@@ -29,8 +38,9 @@ freed, so whether each chunk's numpy temporaries stayed in the heap, or went
 back to the OS and were faulted in again, hung on the size of the first chunk
 and on whatever was allocated before it: between 7e3 and 4e4 page faults
 for one parse of 1e6 plain rows.  The free heap they keep is handed back
-once, with ``malloc_trim(0)``, at the end of each parse.  Off Linux with
-glibc, nothing is set or trimmed.
+once per parse, with ``malloc_trim(0)``, after the table's lookups are
+dropped and before the kept journals are built.  Off Linux with glibc,
+nothing is set or trimmed.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from __future__ import annotations
 import bisect
 import csv
 import os
-import sys
 
 import numpy as np
 
@@ -46,6 +55,8 @@ from . import ingest
 from .ingest import CleaningLog, _csv_error, _InputReader
 from .metrics import MAX_CITATIONS, ItemType
 
+# Journals whose sums one step of _Slots.journals turns into ints
+_BLOCK = 4096
 # The longest journal_id of a plain line, so that no key is wider.
 _MAX_ID_BYTES = 64
 _ITEM_TYPES = tuple((kind.value.encode("ascii"), kind.citable) for kind in ItemType)
@@ -59,9 +70,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 def _glibc():
     """The C library, as a ctypes handle, on Linux with glibc; else None."""
-    if not sys.platform.startswith("linux"):
-        return None
-    try:
+    try:  # off glibc, confstr does not know the name, or there is no confstr
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
             return None
         import ctypes
@@ -100,35 +109,40 @@ class _Records:
         return self._rows.line_num
 
 
-def _csv_records(src: _InputReader, end: int, first_line: int, acc: dict, log) -> int:
+def _csv_records(src: _InputReader, end: int, first_line: int, table: "_Slots", log) -> int:
     """Parse the records of ``src`` from ``pos`` that start before offset
-    ``end`` of its buffer with the csv row loop; ``first_line`` lines precede
-    them.  Returns the lines csv read."""
+    ``end`` of its buffer with the csv row loop, into ``table``;
+    ``first_line`` lines precede them.  Returns the lines csv read."""
     rows = csv.reader(src.lines(end))
     try:
-        ingest._parse_paper_rows(_Records(rows, src, end), first_line, acc, log)
+        ingest._parse_paper_rows(_Records(rows, src, end), first_line, table, log)
     except csv.Error as exc:
         raise _csv_error(exc, rows, first_line) from None
     return rows.line_num
 
 
 class _Slots:
-    """Citable totals, tops and counts of the lines the chunked stage takes,
-    in int64 arrays indexed by journal slot.
+    """The journals of one Schema-A parse, each held once, at a slot given in
+    order of first appearance: its journal_id as a key of ``slots``, which
+    keeps that order, its first name in ``names`` and the citable total, top
+    and count of its rows in the int64 arrays ``sums``, indexed by slot.
 
-    A sorted index per key type (see _id_keys) maps keys to slots.  A key not
-    in it costs Python work once: :meth:`slot` gives its journal_id's slot,
-    or a new one.  A new journal enters ``acc``, the row loop's journal_id ->
-    [name, total, top, n_citable], unless the row loop put it there first;
-    :meth:`fold` adds the arrays into ``acc`` at the end.
+    :meth:`slot` gives a journal_id's slot, or a new one, to the chunked
+    stage and the csv row loop alike.  The chunked stage adds its plain lines
+    into the arrays; a sorted index per key type (see _id_keys) maps their
+    keys to slots, so a key not in it costs Python work once.  The row loop
+    sums the rows csv reads in ``csv_sums``, per journal, and
+    :meth:`journals` adds those into the arrays once, at the end.
     """
 
-    def __init__(self, acc: dict):
-        self.acc = acc
-        self.slots: dict[str, int] = {}  # journal_id -> slot
+    def __init__(self):
+        self.slots: dict[str, int] = {}  # journal_id -> slot, in slot order
+        self.names: list[str] = []  # by slot: the name of the journal's first row
         # key dtype kind -> (sorted keys, their slots)
         self.index = {np.dtype(t).kind: (np.zeros(0, t), np.zeros(0, np.intp)) for t in ("<u8", "S1")}
         self.sums = np.zeros((3, 64), dtype=np.int64)  # total, top, n_citable
+        # journal_id -> [slot, total, top, n_citable] of the rows csv reads
+        self.csv_sums: dict[str, list] = {}
 
     def lookup(self, keys):
         """The slot of each key, -1 for a key not in the index."""
@@ -152,7 +166,7 @@ class _Slots:
         slot = self.slots.get(journal_id)
         if slot is None:
             slot = self.slots[journal_id] = len(self.slots)
-            self.acc.setdefault(journal_id, [name, 0, 0, 0])
+            self.names.append(name)
             if slot == self.sums.shape[1]:
                 self.sums = np.concatenate((self.sums, np.zeros_like(self.sums)), axis=1)
         return slot
@@ -168,13 +182,24 @@ class _Slots:
         np.maximum.at(self.sums[1], slots, np.maximum.reduceat(kept, heads))
         np.add.at(self.sums[2], slots, np.add.reduceat(citable, heads, dtype=np.int64))
 
-    def fold(self) -> None:
-        """Add the arrays into ``acc``."""
-        for journal_id, total, top, n in zip(self.slots, *self.sums.tolist()):
-            entry = self.acc[journal_id]
-            entry[1] += total
-            entry[2] = max(entry[2], top)
-            entry[3] += n
+    def journals(self):
+        """Yield ``(journal_id, name, total, top, n_citable)`` of each journal,
+        in slot order, once the row loop's sums are in the arrays.
+
+        The lookups are dropped, and the free heap handed back to the OS,
+        before the first journal; the sums are turned into ints a block at a
+        time.  The table is of no use after this."""
+        slots, totals, tops, counts = np.array([*self.csv_sums.values()], np.int64).reshape(-1, 4).T
+        self.sums[0, slots] += totals  # no slot repeats: a journal has one
+        self.sums[1, slots] = np.maximum(self.sums[1, slots], tops)
+        self.sums[2, slots] += counts
+        ids = list(self.slots)
+        self.slots = self.index = self.csv_sums = None
+        if _GLIBC is not None:  # the last large free before the kept journals are built
+            _GLIBC.malloc_trim(0)
+        for start in range(0, len(ids), _BLOCK):
+            stop = start + _BLOCK
+            yield from zip(ids[start:stop], self.names[start:stop], *self.sums[:, start:stop].tolist())
 
 
 # The chunked parse is split into small functions on purpose: under
@@ -377,34 +402,32 @@ def _take_lines(src: _InputReader, cut: int, taken: int, table: _Slots, log) -> 
     for first, start, end, plain_before in chunk.odd_runs:
         chunk.register(table, before=first)
         src.pos = base + start
-        read += _csv_records(src, base + end, taken + plain_before + read, table.acc, log)
+        read += _csv_records(src, base + end, taken + plain_before + read, table, log)
         if src.data is not data or src.pos > base + end:
             if src.data is data:  # else the field went on past the lines too
-                read += _csv_records(src, cut, taken + plain_before + read, table.acc, log)
+                read += _csv_records(src, cut, taken + plain_before + read, table, log)
             return taken + chunk.add(table, first, log) + read
     src.pos = cut
     return taken + chunk.add(table, chunk.n_lines, log) + read
 
 
-def _parse_chunked(src: _InputReader, acc: dict, log: CleaningLog) -> None:
+def _parse_chunked(src: _InputReader, log: CleaningLog):
     """Parse the input as Schema A in chunks, from ``src.pos``, just after
-    its header line.
+    its header line; returns its journals, as :meth:`_Slots.journals` does.
 
     A chunk is read only once every whole line read before it is taken, so a
     line before an invalid byte is parsed before the byte raises.
     """
-    table = _Slots(acc)
+    table = _Slots()
     taken = 1  # lines taken, the header included
     while True:
         cut = src.data.rfind(b"\n") + 1
         if cut > src.pos:
             taken = _take_lines(src, cut, taken, table, log)
         elif len(src.data) - src.pos >= ingest._CHUNK_BYTES:  # a line longer than a chunk
-            taken += _csv_records(src, len(src.data), taken, acc, log)
+            taken += _csv_records(src, len(src.data), taken, table, log)
         elif not src.more(ingest._CHUNK_BYTES):
             break
     # What is left has no newline: a last line, or records that end at "\r".
-    _csv_records(src, len(src.data), taken, acc, log)
-    table.fold()
-    if _GLIBC is not None:  # hand the free heap the chunks left back to the OS
-        _GLIBC.malloc_trim(0)
+    _csv_records(src, len(src.data), taken, table, log)
+    return table.journals()

@@ -113,11 +113,9 @@ def plain_number_str(x: Fraction) -> str:
         fives += 1
     if den != 1:
         return exact_str(x)
-    places = max(twos, fives)
-    s = decimal_str(x, places)
-    if "." in s:
-        s = s.rstrip("0").rstrip(".")
-    return s
+    # x times 10**places is an integer not divisible by 10, as x is reduced,
+    # so this decimal has no trailing zero
+    return decimal_str(x, max(twos, fives))
 
 
 def _plain_number(text: str) -> str:

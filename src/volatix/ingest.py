@@ -67,7 +67,7 @@ import json
 import logging
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Optional, Union
 
@@ -125,13 +125,8 @@ class CleaningLog:
     citations_removed: int = 0
 
     def as_json_dict(self) -> dict:
-        return {
-            "duplicates_removed": self.duplicates_removed,
-            "zero_or_na_removed": self.zero_or_na_removed,
-            "singletons_excluded": self.singletons_excluded,
-            "rows_read": self.rows_read,
-            "journals_kept": self.journals_kept,
-        }
+        """The five core counters, which are the first five fields."""
+        return {field.name: getattr(self, field.name) for field in fields(self)[:5]}
 
     def to_json(self) -> str:
         return json.dumps(self.as_json_dict(), sort_keys=True)
@@ -285,8 +280,13 @@ _CHUNK_BYTES = 128 * 1024
 _ITEM_KINDS = {kind.value: kind for kind in ItemType}
 
 
-def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> None:
-    """The csv row loop; ``first_line`` lines precede the rows ``rows`` reads."""
+def _parse_paper_rows(rows, first_line: int, table, log: CleaningLog) -> None:
+    """The csv row loop; ``first_line`` lines precede the rows ``rows`` reads.
+
+    A kept row's journal gets its slot in ``table``, the parse's one journal
+    table (see volatix._chunked._Slots), at the first row csv reads of it,
+    and the row is summed in ``table.csv_sums``."""
+    sums = table.csv_sums
     for row in rows:
         line = first_line + rows.line_num
         if len(row) != 5:
@@ -310,9 +310,9 @@ def _parse_paper_rows(rows, first_line: int, acc: dict, log: CleaningLog) -> Non
             fault = f"unknown item_type {item_type!r}" if journal_id else "empty journal_id"
             logger.warning("line %d: %s, row rejected", line, fault)
             continue
-        entry = acc.get(journal_id)
+        entry = sums.get(journal_id)
         if entry is None:
-            entry = acc[journal_id] = [name, 0, 0, 0]
+            entry = sums[journal_id] = [table.slot(journal_id, name), 0, 0, 0]
         if kind.citable:
             entry[1] += citations
             if citations > entry[2]:
@@ -394,8 +394,11 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
     is None; returns ``(Corpus, CleaningLog)``.
 
     The input is opened once and read once, through one _InputReader, whose
-    header :func:`_header` reads.  The chunked stage reads Schema-A rows;
-    ``csv`` reads Schema-B rows from ``_InputReader.lines``.
+    header :func:`_header` reads.  The chunked stage reads Schema-A rows
+    into its one journal table, then yields each journal's sums from it, in
+    order of first appearance, to be admitted and built here one at a time,
+    with no list of its own per journal; ``csv`` reads Schema-B rows from
+    ``_InputReader.lines``.
 
     Each kept journal, singletons included, is stored in the corpus as
     ``make(journal_id, name, total, n_2y, top)`` of counts that
@@ -406,7 +409,6 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
     """
     log = CleaningLog()
     journals: dict = {}
-    acc: dict[str, list] = {}  # Schema A: journal_id -> [name, total, top, n_citable]
     is_path = isinstance(source, (str, Path))
     with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
         src = _InputReader(raw)
@@ -414,19 +416,18 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
         if schema == "papers":
             from ._chunked import _parse_chunked  # it imports numpy, which Schema B does without
 
-            _parse_chunked(src, acc, log)
+            dropped: set[str] = set()
+            for journal_id, name, total, top, n in _parse_chunked(src, log):
+                # no citable output (n == 0), or none of it cited, has total 0: the zero/NA analogue
+                if _admit(journals, dropped, journal_id, total, n, log):
+                    # valid by construction: top <= total <= n * top, as a max and a sum of n counts
+                    journals[journal_id] = make(journal_id, name, total, n, top)
         else:
             rows = csv.reader(src.lines())
             try:
                 _parse_aggregate_rows(rows, journals, log, make)
             except csv.Error as exc:
                 raise _csv_error(exc, rows, 1) from None
-    dropped: set[str] = set()
-    for journal_id, (name, total, top, n) in acc.items():
-        # no citable output (n == 0), or none of it cited, has total 0: the zero/NA analogue
-        if _admit(journals, dropped, journal_id, total, n, log):
-            # valid by construction: top <= total <= n * top, as a max and a sum of n counts
-            journals[journal_id] = make(journal_id, name, total, n, top)
     log.journals_kept = len(journals)
     provenance = Provenance(src.hasher.hexdigest(), schema)
     return Corpus(journals=journals, provenance=provenance), log

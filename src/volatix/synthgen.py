@@ -338,12 +338,24 @@ class SynthConfig:
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "SynthConfig":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError, UnicodeDecodeError and an
             # integer literal over int's digit limit
             raise ConfigError(f"bad synth config JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict.  A repeated key, of
+    which ``json`` would keep the last value, raises ValueError, which
+    :meth:`SynthConfig.from_json_file` reports as ConfigError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {key!r}")
+        data[key] = value
+    return data
 
 
 def _journal_ids(config: SynthConfig) -> Iterator[str]:

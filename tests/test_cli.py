@@ -333,6 +333,25 @@ class TestSynthAndScatter:
         assert (code, out) == (1, "")
         assert err.splitlines() == ["volatix: bad synth config: must be a JSON object"]
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"seed": 20170101\n', '"seed": 20170101, "seed": 1\n', "seed"),
+            ('"max": 1000}', '"max": 1000, "min": 5}', "min"),
+        ],
+        ids=["top-level", "in-size_model"],
+    )
+    def test_config_repeated_key_is_one_line_error(self, capsys, data_dir, tmp_path, old, new, key):
+        # json.loads alone lets the last value win, silently
+        text = (data_dir / "synth_config.json").read_text()
+        assert text.count(old) == 1
+        config = tmp_path / "config.json"
+        config.write_text(text.replace(old, new))
+        code, out, err = run_cli(capsys, "synth", str(config))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"volatix: bad synth config JSON: repeated key {key!r}"]
+        assert "Traceback" not in err
+
     def test_config_invalid_utf8_exit_one(self, capsys, tmp_path):
         bad = tmp_path / "config.json"
         bad.write_bytes(b'{"name": "Revue \xe9conomique"}')

@@ -225,12 +225,14 @@ def read_every_row_with_csv(patch):
     """Make ``patch`` (a MonkeyPatch) replace the chunked stage with the csv
     row loop alone: csv reads every row after the header."""
 
-    def parse_rows(src, acc, log):
+    def parse_rows(src, log):
+        table = _chunked._Slots()
         rows = csv.reader(src.lines())
         try:
-            ingest._parse_paper_rows(rows, 1, acc, log)
+            ingest._parse_paper_rows(rows, 1, table, log)
         except csv.Error as exc:
             raise ingest._csv_error(exc, rows, 1) from None
+        return table.journals()
 
     patch.setattr(_chunked, "_parse_chunked", parse_rows)
 
@@ -541,6 +543,31 @@ class TestChunkedAgainstCsv:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ingest, "_CHUNK_BYTES", chunk)
                 assert parse_outcome(raw) == expected
+
+    @pytest.mark.parametrize(
+        "lines, first_name",
+        [
+            (['J,"Two\nLines",p1,article,5', "A,Alpha,p2,article,2",
+              "J,Plain Name,p3,article,3", "J,Plain Name,p4,review,7"], "Two\nLines"),
+            (["J,Plain Name,p1,article,3", "A,Alpha,p2,article,2",
+              'J,"Two\nLines",p3,article,5', 'J,"Two\nLines",p4,review,7'], "Plain Name"),
+        ],
+        ids=["csv-read-first", "plain-first"],
+    )
+    @pytest.mark.parametrize("chunk", [16, 64])
+    def test_a_journal_keeps_its_first_place_and_name_across_stages(self, lines, first_name, chunk):
+        # J's first row is read by csv (its name spans two lines) and its
+        # later rows are plain lines in later chunks, under another name, or
+        # the other way round: J stays first, under its first row's name.
+        # A chunk of a few bytes would send every line to csv.
+        raw = schema_a(lines)
+        expected = csv_only(raw)
+        journals = expected[0][0]
+        assert [(journal_id, agg.name) for journal_id, agg in journals] == [("J", first_name), ("A", "Alpha")]
+        assert (journals[0][1].total_citations, journals[0][1].n_2y, journals[0][1].top_cited) == (15, 3, 7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_BYTES", chunk)
+            assert parse_outcome(raw) == expected
 
     @staticmethod
     def assert_csv_reads_only_the_rejected_rows(monkeypatch, raw, middle):

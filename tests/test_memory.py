@@ -1,9 +1,10 @@
-"""Memory gates for the Schema-B commands, traced with ``tracemalloc``.
+"""Memory gates for the reading commands, traced with ``tracemalloc``.
 
 A corpus holds one aggregate per journal, and the reading commands one report
 per journal, so what each costs decides the footprint of every command.  The
-input is a 2e4-journal Schema-B file, sizes log-uniform 2-1000 as in the
-default synthetic corpus, written in pure Python.
+inputs are written in pure Python: a 2e4-journal Schema-B file, sizes
+log-uniform 2-1000 as in the default synthetic corpus, and a shuffled
+Schema-A file of 2e4 journals.
 """
 
 import math
@@ -13,7 +14,7 @@ import tracemalloc
 import pytest
 
 from volatix import analytics, cli, ingest
-from volatix.ingest import AGGREGATE_HEADER
+from volatix.ingest import AGGREGATE_HEADER, PAPER_HEADER
 
 N_JOURNALS = 20_000
 
@@ -37,6 +38,34 @@ def journals_file(tmp_path_factory):
     small = path.with_name("small.csv")
     write_schema_b(small, 50)
     ingest.parse_aggregate(small)  # the first parse's one-time allocations
+    return path
+
+
+def write_schema_a(path, n_journals: int, seed: int = 7) -> None:
+    """``n_journals`` journals of 1-8 rows each (articles, reviews and front
+    matter) under quoted non-ASCII names that hold a comma, as in a
+    ``papers-mixed`` export: CRLF line ends, rows shuffled."""
+    rng = random.Random(seed)
+    lines = []
+    for j in range(1, n_journals + 1):
+        prefix = f'M{j:05d},"Annales de Física, Série {j}",M{j:05d}-'
+        for p in range(rng.randint(1, 8)):
+            kind = rng.choice(("article", "article", "review", "front_matter"))
+            lines.append(f"{prefix}{p},{kind},{rng.randint(0, 40)}\r\n")
+    rng.shuffle(lines)
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.write(",".join(PAPER_HEADER) + "\r\n")
+        out.writelines(lines)
+
+
+@pytest.fixture(scope="module")
+def papers_file(tmp_path_factory):
+    pytest.importorskip("numpy")  # the Schema-A parse needs it; the Schema-B gates do not
+    path = tmp_path_factory.mktemp("memory") / "papers.csv"
+    write_schema_a(path, N_JOURNALS)
+    small = path.with_name("small.csv")
+    write_schema_a(small, 50)
+    ingest._parse(small, make=cli._report)  # the first parse's one-time allocations
     return path
 
 
@@ -98,3 +127,12 @@ def test_threshold_table_holds_nothing_per_report(journals_file, traced, key):
     assert table.rows[0].count > 0
     # a list of each report's key would be 2e4 ints, over 1 MB
     assert peak < 64 * 1024
+
+
+def test_schema_a_parse_peak_is_at_most_400_bytes_per_kept_journal(papers_file, traced):
+    (corpus, log), peak = traced_peak(lambda: ingest._parse(papers_file, make=cli._report))
+    assert log.journals_kept == len(corpus.journals) > 0.9 * N_JOURNALS
+    # Each journal is held once while the parse runs, in one table, and
+    # built straight from it: 325 bytes here.  A [name, total, top, n] list
+    # per journal on top of that takes it to about 430.
+    assert peak / log.journals_kept <= 400

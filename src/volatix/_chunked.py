@@ -25,9 +25,11 @@ once, at the end.  The parse then drops the table's lookups and yields the
 journals in slot order, which :func:`volatix.ingest._parse` admits and
 builds as they come.
 
-``_CHUNK_BYTES``, the input reader and the row loop stay in
-:mod:`volatix.ingest`, which the Schema-B parse shares; this module looks
-the chunk size and the row loop up there on each call, so there is one of
+``_CHUNK_BYTES``, the input reader and the Schema-A row loop
+(``_parse_paper_rows``) stay in :mod:`volatix.ingest`.  The Schema-B parse
+shares only the reader and the chunk size with this stage; it has its own
+row loop, ``_parse_aggregate_rows``.  This module looks the chunk size and
+the row loop up in :mod:`volatix.ingest` on each call, so there is one of
 each.
 
 Importing this module sets two of glibc's malloc thresholds for the

@@ -61,8 +61,7 @@ def _load_reports(path: str) -> list:
 
 
 def cmd_ingest(args) -> int:
-    parsers = {"papers": ingest.parse_paper_level, "journals": ingest.parse_aggregate}
-    corpus, log = parsers.get(args.schema, ingest.load_corpus)(args.input)
+    corpus, log = ingest._parse(args.input, None if args.schema == "auto" else args.schema)
     print(log.to_json(), file=sys.stderr)
     ingest.write_journals_csv(corpus, args.out or sys.stdout)
     return 0

@@ -35,7 +35,8 @@ rendering read each value as an integer ``(num, den)`` pair, and a
 from __future__ import annotations
 
 import enum
-from dataclasses import FrozenInstanceError, dataclass
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -108,6 +109,7 @@ class JournalAggregate:
     top_cited: int
 
     def __post_init__(self):
+        _refuse_non_integers(self.journal_id, self.total_citations, self.n_2y, self.top_cited)
         fault = _aggregate_fault(self.journal_id, self.total_citations, self.n_2y, self.top_cited)
         if fault is not None:
             raise InvalidAggregateError(fault)
@@ -137,9 +139,28 @@ def _aggregate_fault(journal_id: str, total: int, n_2y: int, top: int) -> Option
     return f"journal {journal_id!r}: top_cited {top} below the average {total}/{n_2y}"
 
 
+def _refuse_non_integers(journal_id: str, *counts) -> None:
+    """Raise InvalidAggregateError for the first of ``counts`` that is not an
+    integer (a bool or a numpy integer is one).  :func:`_aggregate_fault`
+    compares counts as given, so a float would pass it.  The check is not
+    part of it because the Schema-B row loop calls it once per row, on
+    counts that are ints already."""
+    for value in counts:
+        if not isinstance(value, numbers.Integral):
+            raise InvalidAggregateError(f"journal {journal_id!r}: count {value!r} is not an integer")
+
+
+def _refuse_singleton(journal_id: str, n_2y: int) -> None:
+    if n_2y < 2:
+        raise SingletonJournalError(
+            f"journal {journal_id!r} has a single citable paper; "
+            "top-paper decomposition is undefined"
+        )
+
+
 # Write an aggregate's slots past the __setattr__ that keeps aggregates frozen,
-# as _set_report does for reports: the cheapest way to build one whose counts
-# are already known to pass _aggregate_fault.
+# as VolatilityReport._from_counts does for reports: the cheapest way to build
+# one whose counts are already known to pass _aggregate_fault.
 _AGGREGATE_SETTERS = tuple(getattr(JournalAggregate, f).__set__ for f in JournalAggregate.__slots__)
 
 
@@ -200,55 +221,53 @@ def _value_field(index: int, doc: str) -> property:
     return property(get, doc=doc)
 
 
+@dataclass(frozen=True)
 class VolatilityReport:
-    """Per-journal result of the top-paper decomposition.
+    """Per-journal result of the top-paper decomposition: the counts ``(C,
+    N_2Y, c*)`` of a journal with at least two citable papers.
 
-    ``delta_f_rel`` is None when the paperless average ``f_star`` is zero
-    (the relative change is undefined/infinite there).
+    The four values ``f``, ``f_star``, ``delta_f`` and ``delta_f_rel`` are
+    ratios of those counts, read as ``Fraction``s; ``delta_f_rel`` is None
+    when the paperless average ``f_star`` is zero (the relative change is
+    undefined/infinite there).  :meth:`_pairs` serves them as integer
+    numerators and denominators, which is all that ranking, thresholds and
+    rendering read, so a ``Fraction`` is made only when a field is read.
 
-    The four values are kept as integers and read as ``Fraction``s.  A report
-    from :func:`top_paper_volatility` holds only the counts ``(C, N_2Y, c*)``;
-    one built with this constructor holds the numerator and denominator of
-    each value it was given.  Either way :meth:`_pairs` serves the values as
-    integer numerators and denominators, which is all that ranking,
-    thresholds and rendering read, so a ``Fraction`` is made only when a
-    field is read.  Equality, hash and repr are those of a frozen dataclass
-    of the seven fields, whichever form a report has.
+    The constructor refuses counts that no journal can have, as
+    :class:`JournalAggregate` does, and a singleton journal (``n_2y < 2``),
+    whose ``f_star`` would divide by zero.
 
-    A report keeps its fields in four slots, not in a tuple, because there is
-    one per journal: a report of counts is one 64-byte object (its GC header
-    included, on CPython 3.10-3.13), where a tuple of the same fields in one
-    slot would make it about 120 bytes.  ``journal_id``, ``c_star`` and
-    ``n_2y`` are read straight from their slots.
+    A report keeps its counts in four slots because there is one per
+    journal: it is one 64-byte object (its GC header included, on CPython
+    3.10-3.13).  The slots are declared here rather than by ``slots=True``,
+    under which 3.10 and 3.11 raise ``TypeError``, not
+    ``FrozenInstanceError``, on an assignment to ``f``.
     """
 
-    # journal_id, c*, N_2Y, then C (an int) for a report of counts, or the
-    # given values' numerators and denominators (a tuple of eight ints)
-    __slots__ = ("journal_id", "c_star", "n_2y", "_total_or_given")
+    __slots__ = ("journal_id", "total_citations", "n_2y", "c_star")
+    journal_id: str
+    total_citations: int
+    n_2y: int
+    c_star: int
 
-    def __init__(
-        self,
-        journal_id: str,
-        f: Fraction,
-        f_star: Fraction,
-        c_star: int,
-        delta_f: Fraction,
-        delta_f_rel: Optional[Fraction],
-        n_2y: int,
-    ):
-        given = ()
-        for value in (f, f_star, delta_f, delta_f_rel):
-            if value is None:
-                given += (0, 0)  # undefined: denominator 0
-            else:
-                value = Fraction(value)
-                given += (value.numerator, value.denominator)
-        _set_report(self, journal_id, c_star, n_2y, given)
+    def __post_init__(self):
+        _refuse_non_integers(self.journal_id, self.total_citations, self.n_2y, self.c_star)
+        fault = _aggregate_fault(self.journal_id, self.total_citations, self.n_2y, self.c_star)
+        if fault is not None:
+            raise InvalidAggregateError(fault)
+        _refuse_singleton(self.journal_id, self.n_2y)
 
     @classmethod
     def _from_counts(cls, journal_id: str, total: int, n_2y: int, top: int) -> "VolatilityReport":
+        """A report of the counts, unchecked: the CLI's parse keeps one with
+        ``n_2y = 1`` for a singleton journal, so that a later row with its id
+        is still a duplicate."""
         report = object.__new__(cls)
-        _set_report(report, journal_id, top, n_2y, total)
+        set_id, set_total, set_n, set_top = _REPORT_SETTERS
+        set_id(report, journal_id)
+        set_total(report, total)
+        set_n(report, n_2y)
+        set_top(report, top)
         return report
 
     def _pairs(self) -> tuple:
@@ -258,10 +277,7 @@ class VolatilityReport:
         need not be reduced.  Each denominator is positive, except that of
         ``delta_f_rel`` where it is undefined: there it is 0, as ``N (C - c*)``
         is when ``C = c*``."""
-        total = self._total_or_given
-        if total.__class__ is tuple:
-            return total
-        top, n = self.c_star, self.n_2y
+        total, n, top = self.total_citations, self.n_2y, self.c_star
         rest, excess = total - top, n * top - total
         return total, n, rest, n - 1, excess, n * (n - 1), excess, n * rest
 
@@ -270,43 +286,14 @@ class VolatilityReport:
     delta_f = _value_field(2, "Shift f - f_star that the top paper made.")
     delta_f_rel = _value_field(3, "Relative shift delta_f / f_star; None when f_star = 0.")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in REPORT_FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(REPORT_FIELDS, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
+    def __reduce__(self):  # pickle and deepcopy cannot set frozen slots one by one
+        return self._from_counts, (self.journal_id, self.total_citations, self.n_2y, self.c_star)
 
 
 # Write a report's four slots past the __setattr__ that keeps reports frozen,
 # as _checked_aggregate does for aggregates: the slots' own setters are the
 # cheapest way, once per report.
 _REPORT_SETTERS = tuple(getattr(VolatilityReport, f).__set__ for f in VolatilityReport.__slots__)
-
-
-def _set_report(report: VolatilityReport, journal_id: str, top: int, n_2y: int, total_or_given):
-    set_id, set_top, set_n, set_rest = _REPORT_SETTERS
-    set_id(report, journal_id)
-    set_top(report, top)
-    set_n(report, n_2y)
-    set_rest(report, total_or_given)
 
 
 def citation_average(total_citations: int, n: int) -> Fraction:
@@ -422,11 +409,7 @@ def top_paper_volatility(agg: JournalAggregate) -> VolatilityReport:
     Raises SingletonJournalError for n_2y = 1, where f* would divide by zero;
     such journals stay in corpus summaries but cannot be ranked.
     """
-    if agg.n_2y < 2:
-        raise SingletonJournalError(
-            f"journal {agg.journal_id!r} has a single citable paper; "
-            "top-paper decomposition is undefined"
-        )
+    _refuse_singleton(agg.journal_id, agg.n_2y)
     return VolatilityReport._from_counts(
         agg.journal_id, agg.total_citations, agg.n_2y, agg.top_cited
     )

@@ -168,18 +168,10 @@ def test_c07_threshold_table_properties():
         n = rng.randrange(1, 80)
         reports = []
         for i in range(n):
-            delta = Fraction(rng.randrange(0, 500), rng.randrange(1, 100))
-            reports.append(
-                metrics.VolatilityReport(
-                    journal_id=f"J{i:03d}",
-                    f=delta + 1,
-                    f_star=Fraction(1),
-                    c_star=1,
-                    delta_f=delta,
-                    delta_f_rel=delta,
-                    n_2y=10,
-                )
-            )
+            n_2y, top = rng.randrange(2, 30), rng.randrange(0, 400)
+            # the other papers' citations, each at most the top paper's
+            total = top + rng.randrange(0, (n_2y - 1) * top + 1)
+            reports.append(metrics.VolatilityReport(f"J{i:03d}", total, n_2y, top))
         cuts = sorted({Fraction(rng.randrange(0, 400), 50) for _ in range(8)})
         if not cuts:
             continue
@@ -187,11 +179,9 @@ def test_c07_threshold_table_properties():
         counts = [row.count for row in table.rows]
         assert counts == sorted(counts, reverse=True)
 
-    worked = [Fraction(s) for s in ("0.05", "0.2", "0.3", "0.6", "1.2")]
-    reports = [
-        metrics.VolatilityReport(f"J{i}", d + 1, Fraction(1), 1, d, d, 10)
-        for i, d in enumerate(worked)
-    ]
+    # (C, N_2Y, c*) = (C, 5, 6): delta_f = (30 - C) / 20, that is 0.05, 0.2, 0.3, 0.6 and 1.2
+    reports = [metrics.VolatilityReport(f"J{i}", c, 5, 6) for i, c in enumerate((29, 26, 24, 18, 6))]
+    assert [r.delta_f for r in reports] == [Fraction(s) for s in ("0.05", "0.2", "0.3", "0.6", "1.2")]
     cuts = [Fraction(s) for s in ("0.1", "0.25", "0.5", "1")]
     table = analytics.threshold_table(reports, RankKey.ABSOLUTE, cuts)
     assert [row.count for row in table.rows] == [4, 3, 2, 1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from given_reports import GivenReport
 from volatix.analytics import (
     DEFAULT_ABSOLUTE_CUTS,
     DEFAULT_RELATIVE_CUTS,
@@ -37,7 +38,7 @@ def report_with(jid, delta_f, delta_f_rel="unset", n_2y=10):
     delta_f = Fraction(delta_f)
     if delta_f_rel == "unset":
         delta_f_rel = delta_f
-    return VolatilityReport(
+    return GivenReport(
         journal_id=jid,
         f=delta_f + 1,
         f_star=Fraction(1),
@@ -70,10 +71,10 @@ def count_report(draw, undefined_rel: bool):
 
 @st.composite
 def given_report(draw, undefined_rel: bool):
-    """A report made with the public constructor, of any given values."""
+    """A stand-in report of any given values, negative ones included."""
     delta_f = draw(small_fractions)
     rel = None if undefined_rel else draw(st.none() | small_fractions)
-    return VolatilityReport("G", delta_f + 1, Fraction(1), 1, delta_f, rel, 10)
+    return GivenReport("G", delta_f + 1, Fraction(1), 1, delta_f, rel, 10)
 
 
 @st.composite

@@ -12,13 +12,13 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from given_reports import GivenReport
 from volatix.analytics import RankKey, rank_by_volatility, threshold_table
 from volatix.display import decimal_str, percent_str, round_half_up
 from volatix.metrics import (
     MAX_CITATIONS,
     JournalAggregate,
     VolatilityInputs,
-    VolatilityReport,
     citation_average,
     top_paper_volatility,
     volatility_exact,
@@ -58,7 +58,7 @@ def test_report_matches_fraction_formulas(agg):
 # A few small values, so that keys, delta_f and journal ids tie often.
 tied_values = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 tied_reports = st.builds(
-    VolatilityReport,
+    GivenReport,
     journal_id=st.sampled_from("ABC"),
     f=st.just(Fraction(1)),
     f_star=st.just(Fraction(1)),
@@ -98,7 +98,7 @@ def test_rank_matches_two_stable_sorts(reports, key, k):
 )
 def test_threshold_counts_match_fraction_comparison(values, cuts):
     reports = [
-        VolatilityReport("J", Fraction(1), Fraction(1), 1, Fraction(0), v, 2) for v in values
+        GivenReport("J", Fraction(1), Fraction(1), 1, Fraction(0), v, 2) for v in values
     ]
     table = threshold_table(iter(reports), RankKey.RELATIVE, cuts)
     ranked = [v for v in values if v is not None]

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from volatix.metrics import (
     PaperEffect,
     PaperRecord,
     VolatilityInputs,
+    VolatilityReport,
     _aggregate_fault,
     _checked_aggregate,
     benefit_approx,
@@ -380,14 +382,43 @@ class TestAggregateInvariants:
 
     @given(st.integers(-2, 12), st.integers(-2, 4), st.integers(-2, 12))
     def test_one_chained_check_is_the_five_checks(self, total, n_2y, top):
+        """Both constructors refuse what the five checks refuse, with their
+        message; a report also refuses a singleton journal."""
         fault = self.reference_fault("j", total, n_2y, top)
         assert _aggregate_fault("j", total, n_2y, top) == fault
         if fault is None:
-            assert JournalAggregate("j", "J", total, n_2y, top) == _checked_aggregate("j", "J", total, n_2y, top)
+            agg = JournalAggregate("j", "J", total, n_2y, top)
+            assert agg == _checked_aggregate("j", "J", total, n_2y, top)
+            if n_2y == 1:
+                with pytest.raises(SingletonJournalError):
+                    VolatilityReport("j", total, n_2y, top)
+            else:
+                assert VolatilityReport("j", total, n_2y, top) == top_paper_volatility(agg)
         else:
             with pytest.raises(InvalidAggregateError) as exc:
                 JournalAggregate("j", "J", total, n_2y, top)
             assert str(exc.value) == fault
+            with pytest.raises(InvalidAggregateError) as exc:
+                VolatilityReport("j", total, n_2y, top)
+            assert str(exc.value) == fault
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("kind", [float, Fraction, Decimal, str])
+    def test_counts_must_be_integers(self, position, kind):
+        """A count that is not an integer, even one equal to an integer, is
+        refused by both constructors, before any writer meets it."""
+        counts = [12, 2, 6]  # C, N_2Y, c*
+        counts[position] = kind(counts[position])
+        with pytest.raises(InvalidAggregateError, match="is not an integer"):
+            JournalAggregate("j", "J", *counts)
+        with pytest.raises(InvalidAggregateError, match="is not an integer"):
+            VolatilityReport("j", *counts)
+
+    def test_bool_and_numpy_counts_are_integers(self):
+        np = pytest.importorskip("numpy")
+        for counts in [(True, 2, True), (np.int64(12), np.int32(2), np.uint16(6))]:
+            agg = JournalAggregate("j", "J", *counts)
+            assert VolatilityReport("j", *counts) == top_paper_volatility(agg)
 
     def test_slots_keep_copies_and_immutability(self):
         agg = JournalAggregate("LIVING REV RELATIV", "Living Reviews", 112, 6, 87)

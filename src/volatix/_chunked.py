@@ -22,13 +22,14 @@ journal_id, its first name and its sums, at a slot given in order of first
 appearance.  The row loop gets a journal's slot from the table too, and
 sums the rows ``csv`` reads in Python, per journal, which go into the arrays
 once, at the end.  The parse then drops the table's lookups and yields the
-journals in slot order, which :func:`volatix.ingest._parse` admits and
-builds as they come.
+journals in slot order, as ``(journal_id, name, total, top, n_2y)``, which
+:func:`volatix.ingest._keep` cleans and builds as they come.
 
 ``_CHUNK_BYTES``, the input reader and the Schema-A row loop
 (``_parse_paper_rows``) stay in :mod:`volatix.ingest`.  The Schema-B parse
-shares only the reader and the chunk size with this stage; it has its own
-row loop, ``_parse_aggregate_rows``.  This module looks the chunk size and
+shares the reader and the chunk size with this stage, and the shape of what
+it yields: its own row loop, ``_parse_aggregate_rows``, yields each checked
+row in that shape to ``_keep`` too.  This module looks the chunk size and
 the row loop up in :mod:`volatix.ingest` on each call, so there is one of
 each.
 

@@ -279,7 +279,15 @@ def report_obj(report: VolatilityReport, *, exact: bool = False) -> dict:
     obj = dict(zip(REPORT_FIELDS, report_row(report, exact=exact)))
     if obj["delta_f_rel"] == "":  # a defined value never renders empty
         obj["delta_f_rel"] = None
+    obj["c_star"], obj["n_2y"] = _json_count(report.c_star), _json_count(report.n_2y)
     return obj
+
+
+def _json_count(value):
+    """``value``, or ``int(value)`` if it is not an int: json.dump writes an
+    int, a bool or an int subclass as it is, and refuses another integer,
+    such as a numpy one."""
+    return value if isinstance(value, int) else int(value)
 
 
 def write_reports_csv(reports, dest, *, exact: bool = False) -> None:
@@ -313,6 +321,7 @@ def _report_json(report: VolatilityReport, exact: bool) -> str:
     if journal_id.__class__ is str and c_star.__class__ is int and n_2y.__class__ is int:
         journal_id = enc(journal_id)  # "%s" writes an int as int.__repr__ does
     else:  # other values, which the public constructor can be given
+        c_star, n_2y = _json_count(c_star), _json_count(n_2y)
         journal_id, c_star, n_2y = _json_value(journal_id), _json_value(c_star), _json_value(n_2y)
     rel = enc(rel) if rel else "null"
     return _REPORT_JSON % (journal_id, enc(f), enc(f_star), c_star, enc(delta_f), rel, n_2y)

@@ -27,8 +27,11 @@ journals with zero or unavailable citation output are dropped, and
 single-paper journals are kept but flagged, since their top-paper
 decomposition is undefined.  Schema A does not check repeats: a repeated
 paper_id is summed twice, and a journal_id keeps its first journal_name.
-Nothing is dropped silently: every removal lands in the CleaningLog, and the
-citation totals reconcile exactly (``citations_read == citations_kept +
+Nothing is dropped silently.  Every removal goes through one of two
+functions, which count it in the CleaningLog: :func:`_keep`, the one loop
+that keeps journals, in both parsers and :func:`dedupe_and_filter`, and
+:func:`_reject`, which counts and warns each rejected row.  The citation
+totals reconcile exactly (``citations_read == citations_kept +
 citations_removed``).
 
 Structurally unreadable rows (wrong arity, counts that are not ASCII digits
@@ -111,6 +114,12 @@ class CleaningLog:
     collapsed duplicates and filtered journals.  Rows with a count out of
     range (a negative citation count, or a citation count or ``n_2y`` above
     the 2^31 - 1 cap) appear only in ``rows_rejected``.
+
+    The row loops count the rows and citations read, and the citations of
+    front-matter rows as removed.  The rest is counted in two places:
+    :func:`_reject` counts rejected rows, and :func:`_keep` the duplicates,
+    the zero/NA and singleton journals, the kept citations and
+    ``journals_kept``.
     """
 
     duplicates_removed: int = 0
@@ -273,6 +282,15 @@ def _parse_count(value: str, line: int, column: str) -> int:
     )
 
 
+def _reject(log: CleaningLog, where: str, fault: str, citations: int = 0) -> None:
+    """Count a rejected row, with the ``citations`` it read as removed, and
+    warn ``<where>: <fault>, row rejected``.  Every rejected row, in either
+    parser and in :func:`dedupe_and_filter`, is counted and warned here."""
+    log.rows_rejected += 1
+    log.citations_removed += citations
+    logger.warning("%s: %s, row rejected", where, fault)
+
+
 # Bytes per read of the input reader and of the chunked Schema-A stage (see
 # volatix._chunked).  Its numpy temporaries are a few times this, so it is
 # kept small next to the CLI's resident memory.
@@ -295,20 +313,13 @@ def _parse_paper_rows(rows, first_line: int, table, log: CleaningLog) -> None:
         citations = _parse_count(citations_text, line, "citations")
         log.rows_read += 1
         if not 0 <= citations <= MAX_CITATIONS:
-            log.rows_rejected += 1
-            logger.warning(
-                "line %d: citations %d out of range, row rejected",
-                line,
-                citations,
-            )
+            _reject(log, f"line {line}", f"citations {citations} out of range")
             continue
         log.citations_read += citations
         kind = _ITEM_KINDS.get(item_type)
         if kind is None or not journal_id:
-            log.rows_rejected += 1
-            log.citations_removed += citations
             fault = f"unknown item_type {item_type!r}" if journal_id else "empty journal_id"
-            logger.warning("line %d: %s, row rejected", line, fault)
+            _reject(log, f"line {line}", fault, citations)
             continue
         entry = sums.get(journal_id)
         if entry is None:
@@ -339,43 +350,43 @@ def parse_paper_level(source: Source):
     return _parse(source, "papers")
 
 
-def _parse_aggregate_rows(rows, journals: dict, log: CleaningLog, make) -> None:
-    """The Schema-B row loop over the rows after the header line: check each
-    row's counts, reject it with a warning if no journal can have them or its
-    journal_id is empty, then apply the cleaning rules of :func:`_admit` and
-    keep what passes in ``journals``, as ``make(journal_id, name, total,
-    n_2y, top)`` (see :func:`_parse`)."""
-    dropped: set[str] = set()
-    for row in rows:
-        if len(row) != 5:
-            raise MalformedRowError(f"expected 5 fields, got {len(row)}", 1 + rows.line_num)
-        journal_id, name, total_text, n_text, top_text = row
-        counts = total_text + n_text + top_text
-        # three short counts of ASCII digits; int() refuses over 4300 digits
-        short_digits = counts.isdigit() and counts.isascii() and len(counts) <= 30
-        if short_digits and total_text and n_text and top_text:
-            total, n_2y, top = int(total_text), int(n_text), int(top_text)
-        else:  # a sign, an empty field, a long or odd count: parsed, or refused, one at a time
-            line = 1 + rows.line_num
-            total = _parse_count(total_text, line, "total_citations")
-            n_2y = _parse_count(n_text, line, "n_2y")
-            top = _parse_count(top_text, line, "top_paper_citations")
-        log.rows_read += 1
-        bad_citations = not (0 <= total <= MAX_CITATIONS and 0 <= top <= MAX_CITATIONS)
-        if bad_citations or n_2y > MAX_CITATIONS:
-            log.rows_rejected += 1
-            field = "citation count" if bad_citations else "n_2y"
-            logger.warning("line %d: %s out of range, row rejected", 1 + rows.line_num, field)
-            continue
-        log.citations_read += total
-        fault = _aggregate_fault(journal_id, total, n_2y, top) if journal_id else "empty journal_id"
-        if fault is None:
-            if _admit(journals, dropped, journal_id, total, n_2y, log):
-                journals[journal_id] = make(journal_id, name, total, n_2y, top)
-        else:
-            log.rows_rejected += 1
-            log.citations_removed += total
-            logger.warning("line %d: %s, row rejected", 1 + rows.line_num, fault)
+def _parse_aggregate_rows(src: _InputReader, log: CleaningLog) -> Iterator[tuple]:
+    """The Schema-B row loop, over the rows ``csv`` reads after the header
+    line: yield the ``(journal_id, name, total, top, n_2y)`` of each row that
+    a journal can have, as the chunked Schema-A stage yields its journals,
+    and reject any other row, such as one with an empty journal_id.  Its
+    rows are cleaned by :func:`_keep` as they come, so the messages of every
+    row come in row order."""
+    rows = csv.reader(src.lines())
+    try:
+        for row in rows:
+            if len(row) != 5:
+                raise MalformedRowError(f"expected 5 fields, got {len(row)}", 1 + rows.line_num)
+            journal_id, name, total_text, n_text, top_text = row
+            counts = total_text + n_text + top_text
+            # three short counts of ASCII digits; int() refuses over 4300 digits
+            short_digits = counts.isdigit() and counts.isascii() and len(counts) <= 30
+            if short_digits and total_text and n_text and top_text:
+                total, n_2y, top = int(total_text), int(n_text), int(top_text)
+            else:  # a sign, an empty field, a long or odd count: parsed, or refused, one at a time
+                line = 1 + rows.line_num
+                total = _parse_count(total_text, line, "total_citations")
+                n_2y = _parse_count(n_text, line, "n_2y")
+                top = _parse_count(top_text, line, "top_paper_citations")
+            log.rows_read += 1
+            bad_citations = not (0 <= total <= MAX_CITATIONS and 0 <= top <= MAX_CITATIONS)
+            if bad_citations or n_2y > MAX_CITATIONS:
+                field = "citation count" if bad_citations else "n_2y"
+                _reject(log, f"line {1 + rows.line_num}", f"{field} out of range")
+                continue
+            log.citations_read += total
+            fault = _aggregate_fault(journal_id, total, n_2y, top) if journal_id else "empty journal_id"
+            if fault is None:
+                yield journal_id, name, total, top, n_2y
+            else:
+                _reject(log, f"line {1 + rows.line_num}", fault, total)
+    except csv.Error as exc:
+        raise _csv_error(exc, rows, 1) from None
 
 
 def parse_aggregate(source: Source):
@@ -394,11 +405,13 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
     is None; returns ``(Corpus, CleaningLog)``.
 
     The input is opened once and read once, through one _InputReader, whose
-    header :func:`_header` reads.  The chunked stage reads Schema-A rows
-    into its one journal table, then yields each journal's sums from it, in
-    order of first appearance, to be admitted and built here one at a time,
-    with no list of its own per journal; ``csv`` reads Schema-B rows from
-    ``_InputReader.lines``.
+    header :func:`_header` reads.  Either schema's rows then come as
+    ``(journal_id, name, total, top, n_2y)`` to :func:`_keep`, which cleans
+    and builds them one at a time, with no list of its own per journal.  The
+    chunked stage reads Schema-A rows into its one journal table, then
+    yields each journal's sums from it, in order of first appearance;
+    :func:`_parse_aggregate_rows` yields each checked Schema-B row as ``csv``
+    reads it from ``_InputReader.lines``.
 
     Each kept journal, singletons included, is stored in the corpus as
     ``make(journal_id, name, total, n_2y, top)`` of counts that
@@ -408,7 +421,6 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
     log, the warnings and the provenance do not depend on ``make``.
     """
     log = CleaningLog()
-    journals: dict = {}
     is_path = isinstance(source, (str, Path))
     with open(source, "rb") if is_path else contextlib.nullcontext(source) as raw:
         src = _InputReader(raw)
@@ -416,52 +428,50 @@ def _parse(source: Source, schema: Optional[str] = None, make=_checked_aggregate
         if schema == "papers":
             from ._chunked import _parse_chunked  # it imports numpy, which Schema B does without
 
-            dropped: set[str] = set()
-            for journal_id, name, total, top, n in _parse_chunked(src, log):
-                # no citable output (n == 0), or none of it cited, has total 0: the zero/NA analogue
-                if _admit(journals, dropped, journal_id, total, n, log):
-                    # valid by construction: top <= total <= n * top, as a max and a sum of n counts
-                    journals[journal_id] = make(journal_id, name, total, n, top)
+            # sums valid by construction: top <= total <= n * top, as a max and a sum of n counts
+            rows = _parse_chunked(src, log)
         else:
-            rows = csv.reader(src.lines())
-            try:
-                _parse_aggregate_rows(rows, journals, log, make)
-            except csv.Error as exc:
-                raise _csv_error(exc, rows, 1) from None
-    log.journals_kept = len(journals)
-    provenance = Provenance(src.hasher.hexdigest(), schema)
-    return Corpus(journals=journals, provenance=provenance), log
+            rows = _parse_aggregate_rows(src, log)
+        journals = _keep(rows, make, log)
+    return Corpus(journals, Provenance(src.hasher.hexdigest(), schema)), log
 
 
-def _admit(
-    journals: dict, dropped: set, journal_id: str, total: int, n_2y: int, log: CleaningLog
-) -> bool:
-    """Apply the duplicate / zero-or-NA / singleton rules to one journal's
-    counts, and say whether the journal is kept; the caller stores a kept
-    journal in ``journals`` before the next call.  Both parsers and
-    :func:`dedupe_and_filter` keep journals only through it.  Schema A sums
-    each id's rows first, so there only the zero and singleton rules apply.
+def _keep(rows: Iterable[tuple], make, log: CleaningLog) -> dict:
+    """The kept journals of ``rows`` of ``(journal_id, name, total, top,
+    n_2y)``, each stored as ``make(journal_id, name, total, n_2y, top)``.
+    Both parsers and :func:`dedupe_and_filter` keep journals only through
+    this one loop, which applies the cleaning rules in this order:
 
-    An id seen before is either kept, so in ``journals``, or was dropped by
-    the zero filter, so in ``dropped``: ``_admit`` remembers only the ids it
-    drops, not every id, and the dict of kept journals answers the rest.
-    Dedupe runs before the zero filter, so a zero-citation first occurrence
-    still shadows every later row with the same id.
+    * a journal_id seen before is a duplicate: the first occurrence wins;
+    * a journal with zero citations is dropped (in Schema A, a journal with
+      no citable output, or none of it cited: the zero/NA analogue);
+    * a single-paper journal is kept, and counted as a singleton.
+
+    An id seen before is either kept, so in the dict, or was dropped by the
+    zero filter, so in ``dropped``: only the dropped ids are remembered, not
+    every id.  Dedupe runs before the zero filter, so a zero-citation first
+    occurrence still shadows every later row with the same id.  Schema A
+    sums each id's rows first, so there only the zero and singleton rules
+    apply.
     """
-    if journal_id in journals or journal_id in dropped:
-        log.duplicates_removed += 1
-        log.citations_removed += total
-        logger.info("journal %r: duplicate entry dropped", journal_id)
-        return False
-    if total == 0:
-        dropped.add(journal_id)
-        log.zero_or_na_removed += 1
-        logger.info("journal %r removed: zero citations", journal_id)
-        return False
-    if n_2y == 1:
-        log.singletons_excluded += 1
-    log.citations_kept += total
-    return True
+    journals: dict = {}
+    dropped: set[str] = set()
+    for journal_id, name, total, top, n_2y in rows:
+        if journal_id in journals or journal_id in dropped:
+            log.duplicates_removed += 1
+            log.citations_removed += total
+            logger.info("journal %r: duplicate entry dropped", journal_id)
+        elif total == 0:
+            dropped.add(journal_id)
+            log.zero_or_na_removed += 1
+            logger.info("journal %r removed: zero citations", journal_id)
+        else:
+            if n_2y == 1:
+                log.singletons_excluded += 1
+            log.citations_kept += total
+            journals[journal_id] = make(journal_id, name, total, n_2y, top)
+    log.journals_kept = len(journals)
+    return journals
 
 
 def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
@@ -473,25 +483,22 @@ def dedupe_and_filter(raw: Union[Corpus, Iterable[JournalAggregate]]):
     An aggregate with an empty journal_id is a rejected row, as in the
     parsers, warned with its 1-based position in the input.
     """
+    aggregates, provenance = raw, None
     if isinstance(raw, Corpus):
-        aggregates: Iterable[JournalAggregate] = raw.journals.values()
-        provenance = raw.provenance
-    else:
-        aggregates = raw
-        provenance = None
+        aggregates, provenance = raw.journals.values(), raw.provenance
     log = CleaningLog()
-    journals: dict[str, JournalAggregate] = {}
-    dropped: set[str] = set()
-    for agg in aggregates:
-        log.rows_read += 1
-        log.citations_read += agg.total_citations
-        if not agg.journal_id:
-            log.rows_rejected += 1
-            log.citations_removed += agg.total_citations
-            logger.warning("row %d: empty journal_id, row rejected", log.rows_read)
-        elif _admit(journals, dropped, agg.journal_id, agg.total_citations, agg.n_2y, log):
-            journals[agg.journal_id] = agg
-    log.journals_kept = len(journals)
+
+    def rows():
+        for agg in aggregates:
+            log.rows_read += 1
+            log.citations_read += agg.total_citations
+            if agg.journal_id:
+                yield agg.journal_id, agg, agg.total_citations, agg.top_cited, agg.n_2y
+            else:
+                _reject(log, f"row {log.rows_read}", "empty journal_id", agg.total_citations)
+
+    # each aggregate rides in its name's place, so a kept one is stored as it came
+    journals = _keep(rows(), lambda journal_id, agg, *counts: agg, log)
     return Corpus(journals=journals, provenance=provenance), log
 
 

@@ -11,6 +11,7 @@ from given_reports import GivenReport
 from volatix.analytics import (
     DEFAULT_ABSOLUTE_CUTS,
     DEFAULT_RELATIVE_CUTS,
+    RankedTable,
     RankKey,
     ThresholdRow,
     dataset_summary,
@@ -341,6 +342,24 @@ class TestSerialization:
         assert data["key"] == "absolute"
         assert data["k"] == 3
         assert len(data["rows"]) == 3
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("writer", ["reports", "ranked"])
+    def test_json_writers_write_numpy_counts_as_ints(self, writer, exact):
+        # json.dump refuses a numpy integer; both writers write int(value)
+        np = pytest.importorskip("numpy")
+        counts = [("j", 12, 2, 6), ("k", 9, 3, 4)]
+        outputs = []
+        for convert in (np.int64, int):
+            reports = tuple(VolatilityReport(j, *map(convert, rest)) for j, *rest in counts)
+            buf = io.StringIO()
+            if writer == "reports":
+                write_reports_json(reports, buf, exact=exact)
+            else:
+                write_ranked_json(RankedTable(RankKey.ABSOLUTE, reports, 2), buf, exact=exact)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+        assert '"c_star": 6' in outputs[1]
 
     def test_threshold_csv_formatting(self, absolute_reports):
         table = threshold_table(

@@ -454,9 +454,11 @@ class ListHandler(logging.Handler):
     def __init__(self):
         super().__init__(logging.WARNING)
         self.messages = []
+        self.warnings = 0
 
     def emit(self, record):
         self.messages.append(record.getMessage())
+        self.warnings += record.levelno >= logging.WARNING
 
 
 def parse_outcome(raw):
@@ -539,6 +541,9 @@ class TestChunkedAgainstCsv:
     @given(raw=schema_a_files(), tiny=st.integers(1, 64))
     def test_chunked_parse_equals_a_csv_read(self, raw, tiny):
         expected = csv_only(raw)
+        (_, log), warned = expected
+        if isinstance(log, CleaningLog):  # parsed, not refused: a warning per rejected row
+            assert log.rows_rejected == len(warned)
         for chunk in (ingest._CHUNK_BYTES, tiny):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ingest, "_CHUNK_BYTES", chunk)
@@ -917,7 +922,8 @@ def schema_b_rows(draw):
 
 def aggregate_outcome(parse, raw):
     """The corpus items and log that ``parse`` makes of ``raw``, or the
-    error's message, line and column; and its INFO-or-above messages."""
+    error's message, line and column; its INFO-or-above messages; and how
+    many of those are warnings."""
     handler = ListHandler()
     handler.setLevel(logging.INFO)
     ingest.logger.addHandler(handler)
@@ -931,7 +937,7 @@ def aggregate_outcome(parse, raw):
     finally:
         ingest.logger.setLevel(level)
         ingest.logger.removeHandler(handler)
-    return outcome, handler.messages
+    return outcome, handler.messages, handler.warnings
 
 
 def one_pass_parse(raw: bytes):
@@ -954,9 +960,12 @@ class TestOnePassAggregateRows:
         raw = buf.getvalue().encode("utf-8")
         found = aggregate_outcome(one_pass_parse, raw)
         assert found == aggregate_outcome(reference_aggregate_parse, raw)
-        outcome, _ = found
+        outcome, _, warnings = found
         if len(outcome) == 2:  # parsed, not refused
             journals, log = outcome
+            assert log.rows_rejected == warnings
+            removed = log.duplicates_removed + log.zero_or_na_removed + log.rows_rejected
+            assert log.rows_read == log.journals_kept + removed
             assert log.citations_read == log.citations_kept + log.citations_removed
             assert log.citations_kept == sum(agg.total_citations for _, agg in journals)
 
@@ -1087,14 +1096,22 @@ class TestDedupeAndFilter:
 
     @given(
         totals=st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 100)), min_size=0, max_size=40
+            st.tuples(st.integers(-1, 5), st.integers(0, 100)), min_size=0, max_size=40
         )
     )
     def test_accounting_holds_for_arbitrary_input(self, totals):
-        aggs = [self.agg(f"J{jid}", total) for jid, total in totals]
-        corpus, log = dedupe_and_filter(aggs)
+        # id -1 draws an empty journal_id, which is a rejected row
+        aggs = [self.agg(f"J{jid}" if jid >= 0 else "", total) for jid, total in totals]
+        handler = ListHandler()
+        ingest.logger.addHandler(handler)
+        try:
+            corpus, log = dedupe_and_filter(aggs)
+        finally:
+            ingest.logger.removeHandler(handler)
         assert log.rows_read == len(aggs)
-        assert log.rows_read == log.journals_kept + log.duplicates_removed + log.zero_or_na_removed
+        assert log.rows_rejected == handler.warnings == sum(not a.journal_id for a in aggs)
+        removed = log.duplicates_removed + log.zero_or_na_removed + log.rows_rejected
+        assert log.rows_read == log.journals_kept + removed
         assert log.citations_read == log.citations_kept + log.citations_removed
         assert log.citations_kept == sum(a.total_citations for a in corpus.journals.values())
 
